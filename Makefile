@@ -4,7 +4,7 @@ GO ?= go
 # -race is slow, so check races where the locks actually live.
 RACE_PKGS = ./internal/core ./internal/buffer ./internal/db ./internal/trace ./internal/server ./internal/oplog
 
-.PHONY: check build vet test race crash fuzz-crash wal-crash fuzz-wal-crash bench concurrency metrics bulkload txn misses serve serveload oplog telemetry clean
+.PHONY: check build vet test race crash fuzz-crash wal-crash fuzz-wal-crash bench concurrency metrics bulkload txn misses serve serveload oplog telemetry perfbench-smoke clean
 
 check: vet build test race crash
 
@@ -92,6 +92,13 @@ oplog:
 # watch it through dbcli hashmon; fails on any non-200 or empty body.
 telemetry:
 	$(GO) test -count=1 -run TestTelemetryEndToEnd -v .
+
+# Benchmark smoke: a 2-second hot-read run of the repository benchmark
+# (perfbench, built into .bench_build/); fails unless the run exits 0
+# and its result line reports no failed operations.
+perfbench-smoke:
+	out=$$(bash perfbench/run.sh --workload hot-read --seed 1 --seconds 2 --trace 0) && \
+		echo "$$out" | grep -q '"failed":0[,}]'
 
 clean:
 	rm -f BENCH_concurrency.json BENCH_metrics.json BENCH_bulkload.json BENCH_txn.json BENCH_serve.json BENCH_misses.json BENCH_obs.json

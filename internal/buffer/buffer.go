@@ -15,7 +15,10 @@
 // predecessor page, the predecessor's buffer header records the link, and
 // evicting a buffer evicts the overflow buffers chained behind it — the
 // paper's invariant that an overflow page is resident only while its
-// predecessor is. Iterators and tools fetch overflow pages unlinked with
+// predecessor is. The link is kept in both directions (each buffer also
+// points back at its predecessor), so evicting a chain or dropping a
+// freed page cuts its links in time proportional to the chain, never to
+// the pool. Iterators and tools fetch overflow pages unlinked with
 // GetOwned, naming the owning bucket so the fetch lands in the chain's
 // shard. The buffer budget is pool-wide: a miss evicts from its own
 // shard only once the whole pool is at capacity, so a skewed bucket
@@ -73,9 +76,9 @@ type Buf struct {
 
 	pins  atomic.Int32
 	owner uint32 // bucket whose chain this page belongs to (shard key)
-	sh    *shard
-	ovfl  *Buf // resident successor overflow buffer, if any
-	prev  *Buf // shard LRU list
+	ovfl  *Buf   // resident successor overflow buffer, if any
+	back  *Buf   // the buffer whose ovfl is this one, if any
+	prev  *Buf   // shard LRU list
 	next  *Buf
 }
 
@@ -419,8 +422,8 @@ func (p *Pool) get(addr Addr, owner uint32, prev *Buf, create bool, led *oplog.L
 		sh.n.Pins++
 		sh.touch(b)
 		b.Pin()
-		if prev != nil && prev.ovfl != b {
-			prev.ovfl = b
+		if prev != nil {
+			link(prev, b)
 		}
 		if led != nil {
 			led.Since(oplog.PhaseBufHit, st)
@@ -458,7 +461,7 @@ func (p *Pool) get(addr Addr, owner uint32, prev *Buf, create bool, led *oplog.L
 	sh.n.Pins++
 	b.Pin()
 	if prev != nil {
-		prev.ovfl = b
+		link(prev, b)
 	}
 	return b, nil
 }
@@ -488,21 +491,43 @@ func (p *Pool) alloc(sh *shard, addr Addr, owner uint32) (*Buf, error) {
 	if n := len(sh.free); n > 0 {
 		b := sh.free[n-1]
 		sh.free = sh.free[:n-1]
-		b.reset(addr, owner, sh)
+		b.reset(addr, owner)
 		return b, nil
 	}
-	return &Buf{Addr: addr, Page: make([]byte, p.pagesize), owner: owner, sh: sh}, nil
+	return &Buf{Addr: addr, Page: make([]byte, p.pagesize), owner: owner}, nil
 }
 
 // reset reinitializes a recycled buffer header in place (a struct
 // assignment would copy the atomic pin counter, which go vet rejects).
-func (b *Buf) reset(addr Addr, owner uint32, sh *shard) {
+func (b *Buf) reset(addr Addr, owner uint32) {
 	b.Addr = addr
 	b.Dirty.Store(false)
 	b.pins.Store(0)
 	b.owner = owner
-	b.sh = sh
-	b.ovfl, b.prev, b.next = nil, nil, nil
+	b.ovfl, b.back, b.prev, b.next = nil, nil, nil, nil
+}
+
+// link makes b the resident successor of pred, or cuts pred's forward
+// link when b is nil. It is the only place a chain link is set, and it
+// keeps the links two-way: afterwards pred.ovfl == b and b.back == pred,
+// pred's old successor has no back pointer, and no other buffer points
+// at b. A second buffer still pointing at b is a stale link, left when
+// the page was reached through a different predecessor; it was never
+// b's chain predecessor and is cleared. Called with the shard lock held.
+func link(pred, b *Buf) {
+	if pred.ovfl == b {
+		return
+	}
+	if old := pred.ovfl; old != nil {
+		old.back = nil
+	}
+	if b != nil {
+		if q := b.back; q != nil {
+			q.ovfl = nil
+		}
+		b.back = pred
+	}
+	pred.ovfl = b
 }
 
 // recycle returns an evicted buffer's memory to the shard free list.
@@ -528,48 +553,36 @@ func chainPinned(b *Buf) bool {
 // (the paper: an overflow page cannot stay in the pool when its
 // predecessor leaves). The whole chain lives in sh by construction.
 // Called with sh.mu held.
+//
+// Demand walks keep a chain's head colder than its members, but filter
+// skips and read-ahead let a predecessor stay hot while its successors
+// go cold, so head may be a suffix of a longer chain. Its predecessor's
+// link is cut through head's back pointer first; evicting the suffix
+// without that would leave the predecessor pointing at a recycled (soon
+// re-used) buffer. Nothing else points into the chain, because each
+// buffer has at most one predecessor, so the cost is O(chain) and the
+// walk cannot cycle. A failed flush leaves the rest of the chain
+// resident and linked, headed by the buffer that failed.
 func (p *Pool) evict(sh *shard, head *Buf) error {
-	// Capture the chain, then sever every pointer into it, as Discard
-	// does. Demand walks keep a chain's head colder than its members, so
-	// an eviction candidate used to be a whole-chain head by
-	// construction; filter skips and read-ahead let a predecessor stay
-	// hot while its successors go cold, and evicting such a suffix
-	// without the sweep would leave the predecessor's chain pointer
-	// dangling at a recycled (soon re-used) buffer. The capture is
-	// bounded by the shard's residency so a corrupt linkage cannot hang
-	// the sweep.
-	chain := make([]*Buf, 0, 8)
-	for m := head; m != nil && len(chain) <= len(sh.table); m = m.ovfl {
-		chain = append(chain, m)
+	if q := head.back; q != nil {
+		link(q, nil)
 	}
-	for _, other := range sh.table {
-		if o := other.ovfl; o != nil {
-			for _, m := range chain {
-				if o == m {
-					other.ovfl = nil
-					break
-				}
-			}
-		}
-	}
-	for _, b := range chain {
+	for b := head; b != nil; {
 		dirty := b.Dirty.Load()
 		if err := p.flushBuf(b); err != nil {
 			return err
 		}
-		if sh.table[b.Addr] == b {
-			sh.lruRemove(b)
-			delete(sh.table, b.Addr)
-			p.resident.Add(-1)
-			sh.n.Evictions++
-			if p.onEvict != nil {
-				p.onEvict(b.Addr, dirty)
-			}
-			b.ovfl = nil
-			sh.recycle(b)
-		} else {
-			b.ovfl = nil
+		next := b.ovfl
+		link(b, nil)
+		sh.lruRemove(b)
+		delete(sh.table, b.Addr)
+		p.resident.Add(-1)
+		sh.n.Evictions++
+		if p.onEvict != nil {
+			p.onEvict(b.Addr, dirty)
 		}
+		sh.recycle(b)
+		b = next
 	}
 	return nil
 }
@@ -630,9 +643,7 @@ func (p *Pool) PrefetchChain(prev *Buf, first Addr, max int, nextAddr func([]byt
 		if !ok {
 			break
 		}
-		if pred.ovfl != b {
-			pred.ovfl = b
-		}
+		link(pred, b)
 		nxt, ok := nextAddr(b.Page)
 		if !ok || nxt == (Addr{}) {
 			return 0 // chain fully resident (or untrusted)
@@ -669,9 +680,7 @@ func (p *Pool) PrefetchChain(prev *Buf, first Addr, max int, nextAddr func([]byt
 		if b, ok := sh.table[cur]; ok {
 			// A later chain page can be resident while an earlier one is
 			// not (iterators fetch overflow pages unlinked); follow it.
-			if pred.ovfl != b {
-				pred.ovfl = b
-			}
+			link(pred, b)
 			pagebytes = b.Page
 			pred = b
 		} else {
@@ -686,9 +695,9 @@ func (p *Pool) PrefetchChain(prev *Buf, first Addr, max int, nextAddr func([]byt
 			if n := len(sh.free); n > 0 {
 				b = sh.free[n-1]
 				sh.free = sh.free[:n-1]
-				b.reset(cur, owner, sh)
+				b.reset(cur, owner)
 			} else {
-				b = &Buf{Addr: cur, Page: make([]byte, p.pagesize), owner: owner, sh: sh}
+				b = &Buf{Addr: cur, Page: make([]byte, p.pagesize), owner: owner}
 			}
 			src := span[int(pn-base)*p.pagesize:]
 			copy(b.Page, src[:p.pagesize])
@@ -698,7 +707,7 @@ func (p *Pool) PrefetchChain(prev *Buf, first Addr, max int, nextAddr func([]byt
 			sh.table[cur] = b
 			sh.lruInsert(b)
 			p.resident.Add(1)
-			pred.ovfl = b
+			link(pred, b)
 			sh.n.Prefetched++
 			installed++
 			pagebytes = b.Page
@@ -750,20 +759,22 @@ func chainDirty(b *Buf) bool {
 func (p *Pool) Put(b *Buf) { b.Unpin() }
 
 // Drop removes b from its chain and from the pool without writing it
-// (its page was freed). prev, if non-nil, is re-linked to b's successor.
-// b must be unpinned by the caller before or be held only by the caller;
-// Drop clears its pins.
-func (p *Pool) Drop(prev, b *Buf) {
-	sh := b.sh
+// (its page was freed). b's predecessor, if resident, is re-linked to
+// b's successor. b must be unpinned by the caller before or be held only
+// by the caller; Drop clears its pins.
+func (p *Pool) Drop(b *Buf) {
+	sh := p.shardFor(b.owner)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	p.dropLocked(sh, prev, b)
+	p.dropLocked(sh, b)
 }
 
 // dropLocked is Drop with sh.mu held.
-func (p *Pool) dropLocked(sh *shard, prev, b *Buf) {
-	if prev != nil && prev.ovfl == b {
-		prev.ovfl = b.ovfl
+func (p *Pool) dropLocked(sh *shard, b *Buf) {
+	succ := b.ovfl
+	link(b, nil)
+	if q := b.back; q != nil {
+		link(q, succ)
 	}
 	if sh.table[b.Addr] == b {
 		sh.lruRemove(b)
@@ -771,7 +782,6 @@ func (p *Pool) dropLocked(sh *shard, prev, b *Buf) {
 		p.resident.Add(-1)
 	}
 	pinned := b.pins.Load() > 0
-	b.ovfl = nil
 	b.Dirty.Store(false)
 	b.pins.Store(0)
 	// An unpinned buffer can be recycled: once out of the table no new
@@ -785,20 +795,14 @@ func (p *Pool) dropLocked(sh *shard, prev, b *Buf) {
 // Discard drops the buffer for addr without writing it, if resident.
 // Used for freed pages whose contents no longer matter. The owning shard
 // is not known to every caller (a freed overflow page's bucket is gone),
-// so all shards are searched; any predecessor links pointing at the
-// buffer are cleared in its own shard, where the whole chain lives.
+// so every shard's map is probed; the buffer's predecessor, found by its
+// back pointer, is re-linked to its successor as in Drop.
 func (p *Pool) Discard(addr Addr) {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		b, ok := sh.table[addr]
-		if ok {
-			for _, other := range sh.table {
-				if other.ovfl == b {
-					other.ovfl = b.ovfl
-				}
-			}
-			p.dropLocked(sh, nil, b)
+		if b, ok := sh.table[addr]; ok {
+			p.dropLocked(sh, b)
 		}
 		sh.mu.Unlock()
 	}
@@ -899,7 +903,7 @@ func (p *Pool) InvalidateAll() error {
 		}
 		for b := sh.lru.next; b != &sh.lru; {
 			next := b.next
-			b.prev, b.next, b.ovfl = nil, nil, nil
+			b.prev, b.next, b.ovfl, b.back = nil, nil, nil, nil
 			b = next
 		}
 		sh.lru.next = &sh.lru

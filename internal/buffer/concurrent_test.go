@@ -92,7 +92,11 @@ func TestPoolChainShardLocality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if o1.sh != prim.sh || o2.sh != prim.sh {
+		sh := p.shardFor(owner)
+		sh.mu.Lock()
+		held := sh.table[prim.Addr] == prim && sh.table[o1.Addr] == o1 && sh.table[o2.Addr] == o2
+		sh.mu.Unlock()
+		if !held {
 			t.Fatalf("owner %d: chain spread across shards", owner)
 		}
 		if o1.Owner() != owner || o2.Owner() != owner {

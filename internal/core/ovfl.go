@@ -192,7 +192,14 @@ func (t *Table) allocOvfl() (oaddr, error) {
 // freeOvfl reclaims an overflow page: its bit is cleared so a later
 // allocation can reuse it, and any resident buffer is discarded.
 // Like allocOvfl, it takes ovflMu itself.
-func (t *Table) freeOvfl(o oaddr) error {
+func (t *Table) freeOvfl(o oaddr) error { return t.releaseOvfl(o, true) }
+
+// freeDroppedOvfl is freeOvfl for a page whose buffer the caller has
+// already dropped from the pool: only the bitmap bit is cleared, sparing
+// a Discard that would lock every pool shard to find nothing.
+func (t *Table) freeDroppedOvfl(o oaddr) error { return t.releaseOvfl(o, false) }
+
+func (t *Table) releaseOvfl(o oaddr, discard bool) error {
 	t.ovflMu.Lock()
 	defer t.ovflMu.Unlock()
 	s, pn := o.split(), o.pagenum()
@@ -216,7 +223,9 @@ func (t *Table) freeOvfl(o oaddr) error {
 	t.dirtyHdr.Store(true)
 	t.m.ovflFrees.Inc()
 	t.tr.Emit(trace.EvOvflFree, uint64(s), uint64(pn), uint64(o), 0)
-	t.pool.Discard(buffer.Addr{N: uint32(o), Ovfl: true})
+	if discard {
+		t.pool.Discard(buffer.Addr{N: uint32(o), Ovfl: true})
+	}
 	return nil
 }
 

@@ -1696,8 +1696,8 @@ func (t *Table) unlinkOvfl(prev, buf *buffer.Buf) error {
 	t.pool.Put(pb)
 	o := oaddr(buf.Addr.N)
 	t.pool.Put(buf) // unpin before dropping
-	t.pool.Drop(prev, buf)
-	return t.freeOvfl(o)
+	t.pool.Drop(buf)
+	return t.freeDroppedOvfl(o)
 }
 
 // expand performs one step of linear-hash growth under the exclusive
