@@ -4,9 +4,9 @@ GO ?= go
 # -race is slow, so check races where the locks actually live.
 RACE_PKGS = ./internal/core ./internal/buffer ./internal/db ./internal/trace ./internal/server ./internal/oplog
 
-.PHONY: check build vet test race crash fuzz-crash wal-crash fuzz-wal-crash bench concurrency metrics bulkload txn misses serve serveload oplog telemetry perfbench-smoke clean
+.PHONY: check build vet test race perfbench-test crash fuzz-crash wal-crash fuzz-wal-crash bench concurrency metrics bulkload txn misses serve serveload oplog telemetry perfbench-smoke clean
 
-check: vet build test race crash
+check: vet build test race crash perfbench-test
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,11 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# The repository benchmark is its own module (perfbench/), so the
+# ./... targets above do not reach it.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Power-cut simulation: every write prefix of a workload (torn pages
 # included) must recover to the last-synced state or fail loudly.

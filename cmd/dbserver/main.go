@@ -95,13 +95,8 @@ func main() {
 	fmt.Fprintf(os.Stderr, "dbserver: serving %d shards on %s\n", d.NShards(), s.Addr())
 
 	if *telemetry != "" {
-		// Serving the EnableOplog wrapper mounts /debug/oplog alongside
-		// the usual endpoints; the database underneath is the same.
-		td := db.DB(d)
-		if rec != nil {
-			td = db.EnableOplog(d, rec)
-		}
-		ts, err := db.ServeTelemetry(td, *telemetry)
+		// A non-nil rec mounts /debug/oplog alongside the usual endpoints.
+		ts, err := db.ServeTelemetry(d, *telemetry, rec)
 		if err != nil {
 			s.Close()
 			d.Close()

@@ -360,27 +360,14 @@ func (sh *shard) touch(b *Buf) {
 // is set and the page is not in the store, a zeroed page is returned,
 // marked dirty so it will eventually be written.
 func (p *Pool) Get(addr Addr, prev *Buf, create bool) (*Buf, error) {
-	if !addr.Ovfl && prev != nil {
-		return nil, fmt.Errorf("buffer: primary page %v requested with predecessor", addr)
-	}
-	if addr.Ovfl && prev == nil {
-		return nil, fmt.Errorf("buffer: overflow page %v requested without predecessor (use GetOwned)", addr)
-	}
-	owner := addr.N
-	if prev != nil {
-		owner = prev.owner
-	}
-	return p.get(addr, owner, prev, create, nil)
+	return p.GetOp(nil, addr, prev, create)
 }
 
 // GetOp is Get with op-ledger attribution: a pool-resident page charges
 // a buffer-hit phase to led, a faulted page charges a buffer-fault
 // phase (allocation, eviction and the store read included). A nil
-// ledger is exactly Get — no clock reads, no extra work.
+// ledger reads no clock.
 func (p *Pool) GetOp(led *oplog.Ledger, addr Addr, prev *Buf, create bool) (*Buf, error) {
-	if led == nil {
-		return p.Get(addr, prev, create)
-	}
 	if !addr.Ovfl && prev != nil {
 		return nil, fmt.Errorf("buffer: primary page %v requested with predecessor", addr)
 	}
@@ -410,10 +397,7 @@ func (p *Pool) GetOwnedOp(led *oplog.Ledger, addr Addr, owner uint32, create boo
 }
 
 func (p *Pool) get(addr Addr, owner uint32, prev *Buf, create bool, led *oplog.Ledger) (*Buf, error) {
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
+	st := led.Now()
 	sh := p.shardFor(owner)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -425,15 +409,11 @@ func (p *Pool) get(addr Addr, owner uint32, prev *Buf, create bool, led *oplog.L
 		if prev != nil {
 			link(prev, b)
 		}
-		if led != nil {
-			led.Since(oplog.PhaseBufHit, st)
-		}
+		led.Since(oplog.PhaseBufHit, st)
 		return b, nil
 	}
 	sh.n.Misses++
-	if led != nil {
-		defer led.Since(oplog.PhaseBufFault, st)
-	}
+	defer led.Since(oplog.PhaseBufFault, st)
 	b, err := p.alloc(sh, addr, owner)
 	if err != nil {
 		return nil, err

@@ -32,48 +32,18 @@ type Pair struct {
 // than once in the batch the last occurrence wins, matching the
 // sequential-Put outcome. An empty key anywhere in the batch rejects
 // the entire batch with ErrEmptyKey before anything is written.
-func (t *Table) PutBatch(pairs []Pair) error {
-	if t.tr == nil {
-		return t.putBatch(pairs, nil)
-	}
-	sp := t.tr.OpBegin()
-	err := t.putBatch(pairs, nil)
-	t.tr.OpEnd(trace.OpBatch, uint64(len(pairs)), sp)
-	return err
-}
+func (t *Table) PutBatch(pairs []Pair) error { return t.PutBatchOp(nil, pairs) }
 
 // PutBatchOp is PutBatch with an op ledger: the table-lock wait, the
 // deferred split pass, and the pool traffic of the distribution pass are
 // charged to led, and the batch's trace-event span is recorded on it.
 func (t *Table) PutBatchOp(led *oplog.Ledger, pairs []Pair) error {
-	if led == nil {
-		return t.PutBatch(pairs)
-	}
-	if t.tr == nil {
-		return t.putBatch(pairs, led)
-	}
-	seq0 := t.tr.Ring().Next()
-	sp := t.tr.OpBegin()
-	err := t.putBatch(pairs, led)
-	t.tr.OpEnd(trace.OpBatch, uint64(len(pairs)), sp)
-	led.SetTraceSpan(seq0, t.tr.Ring().Next())
-	return err
-}
-
-func (t *Table) putBatch(pairs []Pair, led *oplog.Ledger) error {
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
+	t.markTrace(led)
+	defer t.markTrace(led)
+	st := led.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if led != nil {
-		led.Since(oplog.PhaseLatchWait, st)
-	}
-	return t.putBatchLocked(pairs, led)
-}
-
-func (t *Table) putBatchLocked(pairs []Pair, led *oplog.Ledger) error {
+	led.Since(oplog.PhaseLatchWait, st)
 	if err := t.checkWritable(); err != nil {
 		return err
 	}
@@ -140,10 +110,7 @@ func (t *Table) putBatchLocked(pairs []Pair, led *oplog.Ledger) error {
 	// once per batch instead of once per insert.
 	uncontrolled := t.addedOvfl.Swap(false) && !t.controlledOnly
 	splits := 0
-	var splitSt int64
-	if led != nil {
-		splitSt = oplog.Clock()
-	}
+	splitSt := led.Now()
 	for t.nkeysA.Load() > int64(t.hdr.ffactor)*int64(t.hdr.maxBucket+1) {
 		if err := t.expand(false); err != nil {
 			return err
@@ -156,7 +123,7 @@ func (t *Table) putBatchLocked(pairs []Pair, led *oplog.Ledger) error {
 		}
 		splits++
 	}
-	if led != nil && splits > 0 {
+	if splits > 0 {
 		led.Since(oplog.PhaseSplitAssist, splitSt)
 	}
 	t.tr.Emit(trace.EvBatchPhase, trace.BatchPhaseSplits, uint64(splits), 0, 0)
@@ -294,7 +261,7 @@ func (t *Table) putBucketGroup(bucket uint32, pairs []Pair, idxs []int, led *opl
 	// hashes come from the in-memory batch, so big refs need no re-read.
 	var fRems, fAdds []fltOp
 
-	err := t.walkChainOp(led, bucket, func(buf *buffer.Buf) (bool, error) {
+	err := t.walkChain(led, bucket, func(buf *buffer.Buf) (bool, error) {
 		pos++
 		pg := page(buf.Page)
 		tailAddr = buf.Addr
@@ -371,7 +338,7 @@ func (t *Table) putBucketGroup(bucket uint32, pairs []Pair, idxs []int, led *opl
 	// Whatever did not fit on the existing chain goes onto fresh
 	// overflow pages appended at the tail.
 	if left > 0 {
-		tail, err := t.fetchAddrOp(led, tailAddr, bucket)
+		tail, err := t.fetchAddr(led, tailAddr, bucket)
 		if err != nil {
 			return err
 		}
@@ -405,7 +372,7 @@ func (t *Table) putBucketGroup(bucket uint32, pairs []Pair, idxs []int, led *opl
 	// possibly different position) lands, or the remove could cancel the
 	// wrong byte.
 	if len(fRems) > 0 || len(fAdds) > 0 {
-		pb, err := t.getBucketPageOp(led, bucket)
+		pb, err := t.getBucketPage(led, bucket)
 		if err != nil {
 			return err
 		}

@@ -46,7 +46,7 @@ func (t *Table) FillStats() (FillStats, error) {
 	for b := uint32(0); b <= t.hdr.maxBucket; b++ {
 		chainLen := 0
 		bucketKeys := 0
-		err := t.walkChain(b, func(buf *buffer.Buf) (bool, error) {
+		err := t.walkChain(nil, b, func(buf *buffer.Buf) (bool, error) {
 			chainLen++
 			if buf.Addr.Ovfl {
 				s.OverflowPages++

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"unixhash/internal/oplog"
+	"unixhash/internal/trace"
 )
 
 // TestMissAllocs guards the negative-lookup hot path's allocation
@@ -45,10 +46,20 @@ func TestMissAllocs(t *testing.T) {
 
 	// Same storm through the op-ledger entry point: a nil ledger must
 	// compile down to dead nil checks, and a live ledger charges phases
-	// into caller-owned fixed storage — both stay allocation-free.
-	for name, led := range map[string]*oplog.Ledger{"nil-ledger": nil, "live-ledger": new(oplog.Ledger)} {
-		led := led
+	// into caller-owned fixed storage — with or without a tracer marking
+	// the ledger's trace span, all stay allocation-free.
+	for name, c := range map[string]struct {
+		led *oplog.Ledger
+		tr  *trace.Tracer
+	}{
+		"nil-ledger":         {nil, nil},
+		"live-ledger":        {new(oplog.Ledger), nil},
+		"traced-live-ledger": {new(oplog.Ledger), trace.New(0)},
+	} {
+		led := c.led
 		t.Run(name, func(t *testing.T) {
+			tbl.tr = c.tr
+			defer func() { tbl.tr = nil }()
 			led.StartOp(oplog.CmdGet, misses[0])
 			allocs := testing.AllocsPerRun(500, func() {
 				var err error
@@ -63,6 +74,11 @@ func TestMissAllocs(t *testing.T) {
 			}
 			if led != nil && led.PhaseCount(oplog.PhaseFilter) == 0 {
 				t.Fatal("live ledger recorded no filter consults")
+			}
+			if c.tr != nil {
+				if s0, s1 := led.TraceSpan(); s1 <= s0 {
+					t.Fatalf("traced ledger span [%d, %d) covers none of the filter-skip events", s0, s1)
+				}
 			}
 		})
 	}

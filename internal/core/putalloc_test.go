@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"unixhash/internal/oplog"
+	"unixhash/internal/trace"
 )
 
 // TestPutAllocs guards the write hot path's allocation budget, the
@@ -43,10 +44,20 @@ func TestPutAllocs(t *testing.T) {
 		// The op-ledger entry point must cost nothing extra: with no
 		// ledger attached the guards are dead nil checks, and with a live
 		// ledger every charge is an atomic add into caller-owned fixed
-		// storage — neither side of the gate may allocate.
-		for name, led := range map[string]*oplog.Ledger{"nil-ledger": nil, "live-ledger": new(oplog.Ledger)} {
-			led := led
+		// storage, as is a tracer's mark of the ledger's trace span —
+		// no side of the gate may allocate.
+		for name, c := range map[string]struct {
+			led *oplog.Ledger
+			tr  *trace.Tracer
+		}{
+			"nil-ledger":         {nil, nil},
+			"live-ledger":        {new(oplog.Ledger), nil},
+			"traced-live-ledger": {new(oplog.Ledger), trace.New(0)},
+		} {
+			led := c.led
 			t.Run(name, func(t *testing.T) {
+				tbl.tr = c.tr
+				defer func() { tbl.tr = nil }()
 				led.StartOp(oplog.CmdPut, keys[0])
 				allocs := testing.AllocsPerRun(500, func() {
 					if err := tbl.PutOp(led, keys[i%n], val); err != nil {

@@ -82,18 +82,17 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Trace, when set, receives structured events (splits, overflow page
 	// traffic, sync phases, recovery steps, batch phases, buffer
-	// evictions, slow device I/O) and captures slow-operation spans. Nil
-	// disables tracing entirely: the instrumented paths pay one pointer
-	// comparison and nothing else — no atomics, no allocation (enforced
-	// by TestTraceDisabledZeroAlloc). See internal/trace and DESIGN.md
-	// §11.
+	// evictions, slow device I/O). Nil disables tracing entirely: the
+	// instrumented paths pay one pointer comparison and nothing else —
+	// no atomics, no allocation (enforced by TestTraceDisabledZeroAlloc).
+	// See internal/trace and DESIGN.md §11.
 	Trace *trace.Tracer
 	// TelemetryAddr, when non-empty, serves live telemetry over HTTP on
 	// the given host:port for the lifetime of the table: /metrics
-	// (Prometheus text), /stats (JSON), /debug/events and /debug/slowops
-	// (the trace ring), /debug/heatmap (per-bucket fill and chain depth)
-	// and /debug/pprof. ":0" picks a free port, reported by
-	// Table.TelemetryAddr. The server stops when the table closes.
+	// (Prometheus text), /stats (JSON), /debug/events (the trace ring),
+	// /debug/heatmap (per-bucket fill and chain depth) and /debug/pprof.
+	// ":0" picks a free port, reported by Table.TelemetryAddr. The
+	// server stops when the table closes.
 	TelemetryAddr string
 	// WAL attaches a write-ahead redo log to the table and enables the
 	// Begin/Commit transaction API (see Table.Begin): a committed
@@ -255,7 +254,7 @@ type Table struct {
 
 	// Group commit (Options.GroupCommit). mutSeq counts completed write
 	// attempts. Since PR 6 it is bumped under the *shared* table lock
-	// (deferred in putInner/deleteInner/Commit), so a load taken before a
+	// (deferred in put/DeleteOp/Commit), so a load taken before a
 	// leader acquires the exclusive lock is a lower bound on what that
 	// leader's syncLocked will cover: the exclusive acquisition waits out
 	// every in-flight shared-phase writer, including the deferred bump.
@@ -727,15 +726,20 @@ func (t *Table) calcBucket(h uint32) uint32 {
 func (t *Table) bucketAddr(b uint32) buffer.Addr { return buffer.Addr{N: b} }
 func ovflBufAddr(o oaddr) buffer.Addr            { return buffer.Addr{N: uint32(o), Ovfl: true} }
 
-// getPage pins the page at the head of bucket b's chain. Fresh zero
-// pages were already formatted by the pool's load hook.
-func (t *Table) getBucketPage(b uint32) (*buffer.Buf, error) {
-	return t.pool.Get(t.bucketAddr(b), nil, true)
+// getBucketPage pins the page at the head of bucket b's chain, charging
+// the fetch to led. Fresh zero pages were already formatted by the
+// pool's load hook.
+func (t *Table) getBucketPage(led *oplog.Ledger, b uint32) (*buffer.Buf, error) {
+	return t.pool.GetOp(led, t.bucketAddr(b), nil, true)
 }
 
-// getBucketPageOp is getBucketPage charging the fetch to led.
-func (t *Table) getBucketPageOp(led *oplog.Ledger, b uint32) (*buffer.Buf, error) {
-	return t.pool.GetOp(led, t.bucketAddr(b), nil, true)
+// markTrace widens led's trace span to the trace ring's next position.
+// An op marks before and after its work, so the span covers every
+// event it emitted: the link from an oplog exemplar to /debug/events.
+func (t *Table) markTrace(led *oplog.Ledger) {
+	if led != nil && t.tr != nil {
+		led.MarkTrace(t.tr.Ring().Next())
+	}
 }
 
 func (t *Table) checkOpen() error {
@@ -768,41 +772,16 @@ func (t *Table) Get(key []byte) ([]byte, error) {
 // to dst[:0] and the resulting slice returned, so a reader looping over
 // keys with a reused buffer performs no per-call value allocation. A nil
 // dst behaves like Get.
-func (t *Table) GetBuf(key, dst []byte) ([]byte, error) {
-	// The nil check (not a nil-safe method call) keeps the disabled-trace
-	// read path byte-identical to the untraced one: no span, no clock
-	// reads, zero allocations (TestTraceDisabledZeroAlloc).
-	if t.tr == nil {
-		return t.getBuf(key, dst, nil)
-	}
-	sp := t.tr.OpBegin()
-	out, err := t.getBuf(key, dst, nil)
-	t.tr.OpEnd(trace.OpGet, uint64(len(key)), sp)
-	return out, err
-}
+func (t *Table) GetBuf(key, dst []byte) ([]byte, error) { return t.GetBufOp(nil, key, dst) }
 
 // GetBufOp is GetBuf carrying an op ledger: latch waits, filter
 // consults, buffer traffic and read-ahead on this lookup are charged to
 // led's phases, and the trace-ring span of the op is recorded so an
-// exemplar can be joined back to its events. A nil ledger is exactly
-// GetBuf — the disabled path stays allocation- and clock-free.
+// exemplar can be joined back to its events. A nil ledger reads no
+// clock and allocates nothing.
 func (t *Table) GetBufOp(led *oplog.Ledger, key, dst []byte) ([]byte, error) {
-	if led == nil {
-		return t.GetBuf(key, dst)
-	}
-	if t.tr == nil {
-		out, err := t.getBuf(key, dst, led)
-		return out, err
-	}
-	seq0 := t.tr.Ring().Next()
-	sp := t.tr.OpBegin()
-	out, err := t.getBuf(key, dst, led)
-	t.tr.OpEnd(trace.OpGet, uint64(len(key)), sp)
-	led.SetTraceSpan(seq0, t.tr.Ring().Next())
-	return out, err
-}
-
-func (t *Table) getBuf(key, dst []byte, led *oplog.Ledger) ([]byte, error) {
+	t.markTrace(led)
+	defer t.markTrace(led)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if err := t.checkOpen(); err != nil {
@@ -813,14 +792,9 @@ func (t *Table) getBuf(key, dst []byte, led *oplog.Ledger) ([]byte, error) {
 	}
 	t.m.gets.Inc()
 	h := t.hash(key)
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
+	st := led.Now()
 	bucket := t.lockBucket(h, false)
-	if led != nil {
-		led.Since(oplog.PhaseLatchWait, st)
-	}
+	led.Since(oplog.PhaseLatchWait, st)
 	out, err := t.getFromBucket(bucket, h, key, dst, led)
 	t.stripeFor(bucket).RUnlock()
 	return out, err
@@ -842,21 +816,16 @@ func (t *Table) getFromBucket(bucket, h uint32, key, dst []byte, led *oplog.Ledg
 	skipped := false  // ... and it answered "definitely absent"
 	var hints uint8
 	pos := -1
-	err := t.walkChainOp(led, bucket, func(buf *buffer.Buf) (bool, error) {
+	err := t.walkChain(led, bucket, func(buf *buffer.Buf) (bool, error) {
 		pos++
 		pg := page(buf.Page)
 		if pos == 0 {
 			if t.filtersOn && !t.needsRecovery && !pg.fltSaturatedBit() {
-				var fst int64
-				if led != nil {
-					fst = oplog.Clock()
-				}
+				fst := led.Now()
 				filtered = true
 				exact = !pg.fltInexactBit()
 				hints = pg.filterHints(h)
-				if led != nil {
-					led.Since(oplog.PhaseFilter, fst)
-				}
+				led.Since(oplog.PhaseFilter, fst)
 				if hints == 0 {
 					// Definitely absent: stop before any chain read.
 					skipped = true
@@ -963,14 +932,9 @@ func (t *Table) prefetchChain(primary *buffer.Buf, pg page, led *oplog.Ledger) {
 	if first == 0 {
 		return
 	}
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
+	st := led.Now()
 	n := t.pool.PrefetchChain(primary, ovflBufAddr(first), want, safeChainLink)
-	if led != nil {
-		led.Since(oplog.PhasePrefetch, st)
-	}
+	led.Since(oplog.PhasePrefetch, st)
 	if n > 0 {
 		t.m.prefetches.Inc()
 		t.m.prefetchedPages.Add(int64(n))
@@ -993,14 +957,10 @@ func (t *Table) Has(key []byte) (bool, error) {
 // walkChain pins each page of bucket's chain in order, calling fn; fn
 // returns done=true to stop early. The predecessor page stays pinned
 // while its successor is fetched, preserving the buffer-chain linkage.
-func (t *Table) walkChain(bucket uint32, fn func(*buffer.Buf) (bool, error)) error {
-	return t.walkChainOp(nil, bucket, fn)
-}
-
-// walkChainOp is walkChain charging the walk's page fetches to led
-// (buffer hit/fault phases discriminated inside the pool).
-func (t *Table) walkChainOp(led *oplog.Ledger, bucket uint32, fn func(*buffer.Buf) (bool, error)) error {
-	cur, err := t.getBucketPageOp(led, bucket)
+// The page fetches are charged to led (buffer hit/fault phases are
+// told apart inside the pool).
+func (t *Table) walkChain(led *oplog.Ledger, bucket uint32, fn func(*buffer.Buf) (bool, error)) error {
+	cur, err := t.getBucketPage(led, bucket)
 	if err != nil {
 		return err
 	}
@@ -1054,7 +1014,7 @@ func (t *Table) PutNew(key, data []byte) error { return t.put(key, data, false, 
 
 // PutOp is Put carrying an op ledger: latch waits, buffer traffic and
 // any cooperative split work triggered by this insert are charged to
-// led's phases. A nil ledger is exactly Put.
+// led's phases.
 func (t *Table) PutOp(led *oplog.Ledger, key, data []byte) error {
 	return t.put(key, data, true, led)
 }
@@ -1082,7 +1042,7 @@ func (t *Table) scanBucket(bucket uint32, key []byte, needRef bool, klen, dlen i
 	var s putScan
 	s.foundIdx = -1
 	pos := -1
-	err := t.walkChainOp(led, bucket, func(buf *buffer.Buf) (bool, error) {
+	err := t.walkChain(led, bucket, func(buf *buffer.Buf) (bool, error) {
 		pos++
 		pg := page(buf.Page)
 		s.tailAddr, s.tailPos = buf.Addr, pos
@@ -1131,37 +1091,18 @@ func (t *Table) scanBucket(bucket uint32, key []byte, needRef bool, klen, dlen i
 }
 
 // fetchAddr pins the page at a previously scanned address on bucket's
-// chain (the owning bucket routes overflow pages to the chain's shard).
-func (t *Table) fetchAddr(a buffer.Addr, bucket uint32) (*buffer.Buf, error) {
-	return t.fetchAddrOp(nil, a, bucket)
-}
-
-// fetchAddrOp is fetchAddr charging the fetch to led.
-func (t *Table) fetchAddrOp(led *oplog.Ledger, a buffer.Addr, bucket uint32) (*buffer.Buf, error) {
+// chain (the owning bucket routes overflow pages to the chain's shard),
+// charging the fetch to led.
+func (t *Table) fetchAddr(led *oplog.Ledger, a buffer.Addr, bucket uint32) (*buffer.Buf, error) {
 	if a.Ovfl {
 		return t.pool.GetOwnedOp(led, a, bucket, false)
 	}
-	return t.getBucketPageOp(led, a.N)
+	return t.getBucketPage(led, a.N)
 }
 
 func (t *Table) put(key, data []byte, replace bool, led *oplog.Ledger) error {
-	if t.tr == nil {
-		return t.putInner(key, data, replace, led)
-	}
-	var seq0 uint64
-	if led != nil {
-		seq0 = t.tr.Ring().Next()
-	}
-	sp := t.tr.OpBegin()
-	err := t.putInner(key, data, replace, led)
-	t.tr.OpEnd(trace.OpPut, uint64(len(key)+len(data)), sp)
-	if led != nil {
-		led.SetTraceSpan(seq0, t.tr.Ring().Next())
-	}
-	return err
-}
-
-func (t *Table) putInner(key, data []byte, replace bool, led *oplog.Ledger) error {
+	t.markTrace(led)
+	defer t.markTrace(led)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if err := t.checkWritable(); err != nil {
@@ -1194,14 +1135,9 @@ func (t *Table) putInner(key, data []byte, replace bool, led *oplog.Ledger) erro
 		}
 	}
 
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
+	st := led.Now()
 	bucket := t.lockBucket(h, true)
-	if led != nil {
-		led.Since(oplog.PhaseLatchWait, st)
-	}
+	led.Since(oplog.PhaseLatchWait, st)
 	err := t.putInBucket(bucket, h, key, data, replace, big, ref, led)
 	t.stripeFor(bucket).Unlock()
 	if err != nil {
@@ -1218,15 +1154,11 @@ func (t *Table) putInner(key, data []byte, replace bool, led *oplog.Ledger) erro
 	// released — the split takes its own pair of latches.
 	uncontrolled := t.addedOvfl.Swap(false) && !t.controlledOnly
 	if uncontrolled || t.nkeysA.Load() > int64(t.hdr.ffactor)*int64(t.geo.Load()+1) {
-		if led != nil {
-			st = oplog.Clock()
-		}
+		st = led.Now()
 		if err := t.maybeExpand(uncontrolled); err != nil {
 			return err
 		}
-		if led != nil {
-			led.Since(oplog.PhaseSplitAssist, st)
-		}
+		led.Since(oplog.PhaseSplitAssist, st)
 	}
 	t.m.setShape(t.nkeysA.Load(), t.geo.Load())
 	return nil
@@ -1262,7 +1194,7 @@ func (t *Table) putInBucket(bucket, h uint32, key, data []byte, replace, big boo
 			}
 			s.foundSum = pairHash(key, old)
 		}
-		buf, err := t.fetchAddrOp(led, s.foundAddr, bucket)
+		buf, err := t.fetchAddr(led, s.foundAddr, bucket)
 		if err != nil {
 			return err
 		}
@@ -1292,7 +1224,7 @@ func (t *Table) putInBucket(bucket, h uint32, key, data []byte, replace, big boo
 	}
 
 	if !inserted && s.room {
-		buf, err := t.fetchAddrOp(led, s.roomAddr, bucket)
+		buf, err := t.fetchAddr(led, s.roomAddr, bucket)
 		if err != nil {
 			return err
 		}
@@ -1313,7 +1245,7 @@ func (t *Table) putInBucket(bucket, h uint32, key, data []byte, replace, big boo
 	}
 
 	if !inserted {
-		tail, err := t.fetchAddrOp(led, s.tailAddr, bucket)
+		tail, err := t.fetchAddr(led, s.tailAddr, bucket)
 		if err != nil {
 			return err
 		}
@@ -1342,7 +1274,7 @@ func (t *Table) putInBucket(bucket, h uint32, key, data []byte, replace, big boo
 	// Settle the primary page's tag filter: the replaced copy's tag
 	// leaves, the new copy's tag lands at its insertion position. One
 	// extra pin of the primary — a pool hit, the scan just touched it.
-	pb, err := t.getBucketPageOp(led, bucket)
+	pb, err := t.getBucketPage(led, bucket)
 	if err != nil {
 		return err
 	}
@@ -1372,7 +1304,7 @@ func (t *Table) insert(bucket, h uint32, key, data []byte) error {
 	}
 
 	pos, insPos := -1, -1
-	err := t.walkChain(bucket, func(buf *buffer.Buf) (bool, error) {
+	err := t.walkChain(nil, bucket, func(buf *buffer.Buf) (bool, error) {
 		pos++
 		pg := page(buf.Page)
 		if pg.fitsRegular(len(key), len(data)) {
@@ -1413,7 +1345,7 @@ func (t *Table) insert(bucket, h uint32, key, data []byte) error {
 // hash of the big pair's key).
 func (t *Table) insertRef(bucket, h uint32, ref oaddr) error {
 	pos, insPos := -1, -1
-	err := t.walkChain(bucket, func(buf *buffer.Buf) (bool, error) {
+	err := t.walkChain(nil, bucket, func(buf *buffer.Buf) (bool, error) {
 		pos++
 		pg := page(buf.Page)
 		if pg.fitsRef() {
@@ -1446,7 +1378,7 @@ func (t *Table) insertRef(bucket, h uint32, ref oaddr) error {
 
 // filterAddPrimary tags a freshly inserted key on bucket's primary page.
 func (t *Table) filterAddPrimary(bucket, h uint32, insPos int) error {
-	pb, err := t.getBucketPage(bucket)
+	pb, err := t.getBucketPage(nil, bucket)
 	if err != nil {
 		return err
 	}
@@ -1479,7 +1411,7 @@ func (t *Table) appendOvfl(tail *buffer.Buf) (*buffer.Buf, error) {
 	tail.Dirty.Store(true)
 	// Record the growth in the primary page's chain counter (tail.Owner
 	// names the owning bucket even when tail is itself an overflow page).
-	pb, err := t.getBucketPage(tail.Owner())
+	pb, err := t.getBucketPage(nil, tail.Owner())
 	if err != nil {
 		t.pool.Put(nb)
 		return nil, err
@@ -1494,26 +1426,10 @@ func (t *Table) appendOvfl(tail *buffer.Buf) (*buffer.Buf, error) {
 // Delete removes key, returning ErrNotFound if absent.
 func (t *Table) Delete(key []byte) error { return t.DeleteOp(nil, key) }
 
-// DeleteOp is Delete carrying an op ledger (see PutOp). A nil ledger
-// is exactly Delete.
+// DeleteOp is Delete carrying an op ledger (see PutOp).
 func (t *Table) DeleteOp(led *oplog.Ledger, key []byte) error {
-	if t.tr == nil {
-		return t.deleteInner(key, led)
-	}
-	var seq0 uint64
-	if led != nil {
-		seq0 = t.tr.Ring().Next()
-	}
-	sp := t.tr.OpBegin()
-	err := t.deleteInner(key, led)
-	t.tr.OpEnd(trace.OpDelete, uint64(len(key)), sp)
-	if led != nil {
-		led.SetTraceSpan(seq0, t.tr.Ring().Next())
-	}
-	return err
-}
-
-func (t *Table) deleteInner(key []byte, led *oplog.Ledger) error {
+	t.markTrace(led)
+	defer t.markTrace(led)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if err := t.checkWritable(); err != nil {
@@ -1528,14 +1444,9 @@ func (t *Table) deleteInner(key []byte, led *oplog.Ledger) error {
 		return err
 	}
 	h := t.hash(key)
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
+	st := led.Now()
 	bucket := t.lockBucket(h, true)
-	if led != nil {
-		led.Since(oplog.PhaseLatchWait, st)
-	}
+	led.Since(oplog.PhaseLatchWait, st)
 	removed, err := t.deleteFromBucket(bucket, h, key, led)
 	t.stripeFor(bucket).Unlock()
 	if err != nil {
@@ -1556,7 +1467,7 @@ func (t *Table) deleteFromBucket(bucket, h uint32, key []byte, led *oplog.Ledger
 	pos := 0                 // chain position of the page under examination
 	var prevBuf *buffer.Buf // predecessor of the page under examination
 
-	cur, err := t.getBucketPageOp(led, bucket)
+	cur, err := t.getBucketPage(led, bucket)
 	if err != nil {
 		return false, err
 	}
@@ -1629,7 +1540,7 @@ func (t *Table) deleteFromBucket(bucket, h uint32, key []byte, led *oplog.Ledger
 			if pos == 0 {
 				pg.filterRemove(h, 0)
 			} else {
-				pb, perr := t.getBucketPage(bucket)
+				pb, perr := t.getBucketPage(nil, bucket)
 				if perr != nil {
 					return false, perr
 				}
@@ -1683,7 +1594,7 @@ func (t *Table) unlinkOvfl(prev, buf *buffer.Buf) error {
 	// positions all shifted down — position hints can no longer be
 	// trusted (a hint one past a key's real page would make a hinted
 	// walk skip it: a forbidden false negative).
-	pb, err := t.getBucketPage(prev.Owner())
+	pb, err := t.getBucketPage(nil, prev.Owner())
 	if err != nil {
 		return err
 	}
@@ -1740,7 +1651,7 @@ func (t *Table) splitBucket(oldBucket, newBucket uint32) error {
 	// reformatted) and the chain's overflow page addresses.
 	var entries []splitEntry
 	var chain []oaddr
-	err := t.walkChain(oldBucket, func(buf *buffer.Buf) (bool, error) {
+	err := t.walkChain(nil, oldBucket, func(buf *buffer.Buf) (bool, error) {
 		if buf.Addr.Ovfl {
 			chain = append(chain, oaddr(buf.Addr.N))
 		}
@@ -1764,7 +1675,7 @@ func (t *Table) splitBucket(oldBucket, newBucket uint32) error {
 
 	// Reset the old primary page and reclaim the chain (freeOvfl discards
 	// any resident buffer for each freed page).
-	ob, err := t.getBucketPage(oldBucket)
+	ob, err := t.getBucketPage(nil, oldBucket)
 	if err != nil {
 		return err
 	}
@@ -1779,7 +1690,7 @@ func (t *Table) splitBucket(oldBucket, newBucket uint32) error {
 	}
 
 	// Initialize the new bucket's primary page.
-	nb, err := t.getBucketPage(newBucket)
+	nb, err := t.getBucketPage(nil, newBucket)
 	if err != nil {
 		return err
 	}
@@ -1829,16 +1740,6 @@ func (t *Table) Len() int {
 // With Options.GroupCommit, concurrent Syncs share one durable flush
 // (see syncShared).
 func (t *Table) Sync() error {
-	if t.tr == nil {
-		return t.syncImpl()
-	}
-	sp := t.tr.OpBegin()
-	err := t.syncImpl()
-	t.tr.OpEnd(trace.OpSync, 0, sp)
-	return err
-}
-
-func (t *Table) syncImpl() error {
 	if t.groupCommit {
 		t.mu.RLock()
 		err := t.checkOpen()

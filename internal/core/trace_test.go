@@ -63,11 +63,9 @@ func TestTraceDisabledZeroAlloc(t *testing.T) {
 // TestTraceEvents drives a table with a tracer attached through growth,
 // deletion and sync and checks that the structural events land in the
 // ring: splits begin and end in pairs, overflow pages are allocated,
-// the two-phase sync emits begin/phase/end, and a zero threshold makes
-// every operation a captured slow op.
+// and the two-phase sync emits begin/phase/end.
 func TestTraceEvents(t *testing.T) {
 	tr := trace.New(4096)
-	tr.SetSlowOpThreshold(0) // capture everything
 	tbl := mustOpen(t, "", &Options{Bsize: 512, Ffactor: 4, Trace: tr})
 	defer tbl.Close()
 
@@ -117,18 +115,6 @@ func TestTraceEvents(t *testing.T) {
 	ends := tr.Events(1, trace.EvSplitEnd)
 	if len(ends) != 1 {
 		t.Fatalf("filtered Events returned %d split-ends, want 1", len(ends))
-	}
-
-	ops, seen := tr.SlowOps()
-	if seen == 0 || len(ops) == 0 {
-		t.Fatalf("zero threshold captured no slow ops (seen=%d retained=%d)", seen, len(ops))
-	}
-	wantOps := map[trace.Op]bool{}
-	for _, op := range ops {
-		wantOps[op.Op] = true
-	}
-	if !wantOps[trace.OpSync] {
-		t.Fatal("no Sync span among captured slow ops")
 	}
 }
 
@@ -211,7 +197,6 @@ func TestTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("/debug/heatmap inconsistent: %d keys, %d buckets, %d rows", hm.NKeys, hm.Buckets, len(hm.PerBucket))
 	}
 
-	get("/debug/slowops")
 	get("/debug/pprof/")
 
 	// Unknown filter type is a client error, not a 500.

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"unixhash/internal/oplog"
-	"unixhash/internal/trace"
 	"unixhash/internal/wal"
 )
 
@@ -122,21 +121,9 @@ func (x *Txn) Commit() error {
 	if len(x.ops) == 0 {
 		return nil
 	}
-	t := x.t
-	if t.tr == nil {
-		return t.commitOps(x.ops, x.led)
-	}
-	var seq0 uint64
-	if x.led != nil {
-		seq0 = t.tr.Ring().Next()
-	}
-	sp := t.tr.OpBegin()
-	err := t.commitOps(x.ops, x.led)
-	t.tr.OpEnd(trace.OpCommit, uint64(len(x.ops)), sp)
-	if x.led != nil {
-		x.led.SetTraceSpan(seq0, t.tr.Ring().Next())
-	}
-	return err
+	x.t.markTrace(x.led)
+	defer x.t.markTrace(x.led)
+	return x.t.commitOps(x.ops, x.led)
 }
 
 func (t *Table) commitOps(ops []wal.Op, led *oplog.Ledger) error {
@@ -151,11 +138,13 @@ func (t *Table) commitOps(ops []wal.Op, led *oplog.Ledger) error {
 	if err := t.walDamaged(); err != nil {
 		return err
 	}
-	// Bumped even if the attempt fails partway, like putInner: group
+	// Bumped even if the attempt fails partway, like put: group
 	// commit must only ever over-sync.
 	defer t.mutSeq.Add(1)
 
-	commitLSN, end, err := t.wal.AppendOp(led, ops)
+	st := led.Now()
+	commitLSN, end, err := t.wal.Append(ops)
+	led.Since(oplog.PhaseWALMarshal, st)
 	if err != nil {
 		return fmt.Errorf("hash: txn append: %w", err)
 	}
@@ -173,20 +162,15 @@ func (t *Table) commitOps(ops []wal.Op, led *oplog.Ledger) error {
 	t.appliedLSN.Store(commitLSN)
 	t.m.txnCommits.Inc()
 
-	// Split trigger, as after putInner: the latches are released, the
+	// Split trigger, as after put's insert: the latches are released, the
 	// split takes its own.
 	uncontrolled := t.addedOvfl.Swap(false) && !t.controlledOnly
 	if uncontrolled || t.nkeysA.Load() > int64(t.hdr.ffactor)*int64(t.geo.Load()+1) {
-		var st int64
-		if led != nil {
-			st = oplog.Clock()
-		}
+		st = led.Now()
 		if err := t.maybeExpand(uncontrolled); err != nil {
 			return err
 		}
-		if led != nil {
-			led.Since(oplog.PhaseSplitAssist, st)
-		}
+		led.Since(oplog.PhaseSplitAssist, st)
 	}
 	t.m.setShape(t.nkeysA.Load(), t.geo.Load())
 	return nil
@@ -202,7 +186,7 @@ type txnTarget struct {
 
 // applyTxn applies the ops to the live table as one unit. Big-pair
 // chains are pre-written outside the latches (private until their ref
-// lands, as in putInner); then every involved bucket's stripe is
+// lands, as in put); then every involved bucket's stripe is
 // write-latched in ascending order, the routes revalidated against the
 // split pointer, and the ops applied in order. A route invalidated by a
 // concurrent split backs off, helps the split, and retries — the same
@@ -244,16 +228,11 @@ func (t *Table) applyTxn(ops []wal.Op, led *oplog.Ledger) error {
 			}
 		}
 		stripes = stripes[:n]
-		var st int64
-		if led != nil {
-			st = oplog.Clock()
-		}
+		st := led.Now()
 		for _, s := range stripes {
 			t.stripes[s].Lock()
 		}
-		if led != nil {
-			led.Since(oplog.PhaseLatchWait, st)
-		}
+		led.Since(oplog.PhaseLatchWait, st)
 
 		// Revalidate under the latches: a split may have moved a route or
 		// may still be redistributing one of our buckets.

@@ -278,28 +278,10 @@ func ParseRecnoKey(k []byte) (int, error) {
 
 type hashDB struct{ t *core.Table }
 
-func (d *hashDB) Get(key []byte) ([]byte, error) {
-	v, err := d.t.Get(key)
-	if errors.Is(err, core.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-
-func (d *hashDB) GetBuf(key, dst []byte) ([]byte, error) {
-	v, err := d.t.GetBuf(key, dst)
-	if errors.Is(err, core.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
-
-func (d *hashDB) Put(key, data []byte) error { return d.t.Put(key, data) }
-
-// PutBatch applies the whole batch under one table lock: pairs grouped
-// by bucket, splits deferred to one pass at batch end (see
-// core.Table.PutBatch).
-func (d *hashDB) PutBatch(pairs []Pair) error { return d.t.PutBatch(pairs) }
+func (d *hashDB) Get(key []byte) ([]byte, error)         { return d.GetBufOp(nil, key, nil) }
+func (d *hashDB) GetBuf(key, dst []byte) ([]byte, error) { return d.GetBufOp(nil, key, dst) }
+func (d *hashDB) Put(key, data []byte) error             { return d.PutOp(nil, key, data) }
+func (d *hashDB) PutBatch(pairs []Pair) error            { return d.PutBatchOp(nil, pairs) }
 
 func (d *hashDB) PutNew(key, data []byte) error {
 	err := d.t.PutNew(key, data)
@@ -309,13 +291,7 @@ func (d *hashDB) PutNew(key, data []byte) error {
 	return err
 }
 
-func (d *hashDB) Delete(key []byte) error {
-	err := d.t.Delete(key)
-	if errors.Is(err, core.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
+func (d *hashDB) Delete(key []byte) error { return d.DeleteOp(nil, key) }
 
 func (d *hashDB) Seq() Cursor  { return d.t.Iter() }
 func (d *hashDB) Len() int     { return d.t.Len() }

@@ -166,13 +166,6 @@ func shardOf(key []byte, n int) int {
 	return int(h % uint64(n))
 }
 
-func (s *Sharded) shard(key []byte) *hashDB {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
-	return s.shards[shardOf(key, len(s.shards))]
-}
-
 // NShards reports the shard count.
 func (s *Sharded) NShards() int { return len(s.shards) }
 
@@ -181,33 +174,15 @@ func (s *Sharded) NShards() int { return len(s.shards) }
 // series on the same page.
 func (s *Sharded) MetricsRegistry() *metrics.Registry { return s.reg }
 
-func (s *Sharded) Get(key []byte) ([]byte, error)         { return s.shard(key).Get(key) }
-func (s *Sharded) GetBuf(key, dst []byte) ([]byte, error) { return s.shard(key).GetBuf(key, dst) }
-func (s *Sharded) Put(key, data []byte) error             { return s.shard(key).Put(key, data) }
-func (s *Sharded) PutNew(key, data []byte) error          { return s.shard(key).PutNew(key, data) }
-func (s *Sharded) Delete(key []byte) error                { return s.shard(key).Delete(key) }
+func (s *Sharded) Get(key []byte) ([]byte, error)         { return s.GetBufOp(nil, key, nil) }
+func (s *Sharded) GetBuf(key, dst []byte) ([]byte, error) { return s.GetBufOp(nil, key, dst) }
+func (s *Sharded) Put(key, data []byte) error             { return s.PutOp(nil, key, data) }
+func (s *Sharded) PutNew(key, data []byte) error          { return s.route(nil, key).PutNew(key, data) }
+func (s *Sharded) Delete(key []byte) error                { return s.DeleteOp(nil, key) }
 
-// PutBatch partitions the batch by destination shard and applies the
-// sub-batches concurrently, one PutBatch (one lock epoch, one deferred
-// split pass) per involved shard. In-batch last-wins dedupe holds: a
-// duplicate key lands in one shard, where the table's own batch dedupe
-// applies.
-func (s *Sharded) PutBatch(pairs []Pair) error {
-	if len(s.shards) == 1 {
-		return s.shards[0].PutBatch(pairs)
-	}
-	per := make([][]Pair, len(s.shards))
-	for _, p := range pairs {
-		i := shardOf(p.Key, len(s.shards))
-		per[i] = append(per[i], p)
-	}
-	return s.fanOut(func(i int, sh *hashDB) error {
-		if len(per[i]) == 0 {
-			return nil
-		}
-		return sh.PutBatch(per[i])
-	})
-}
+// PutBatch applies the batch shard by shard, concurrently (see
+// PutBatchOp).
+func (s *Sharded) PutBatch(pairs []Pair) error { return s.PutBatchOp(nil, pairs) }
 
 // fanOut runs fn on every shard concurrently and joins the errors.
 func (s *Sharded) fanOut(fn func(i int, sh *hashDB) error) error {
@@ -377,23 +352,8 @@ func addHashStats(agg, sh *HashStats) {
 	agg.WalIOTimeNS += sh.WalIOTimeNS
 }
 
-// Begin starts a routing transaction: each op lands in a per-shard
-// sub-transaction, begun lazily on first touch. Commit commits the
-// sub-transactions in shard order — atomic within each shard, not
-// across shards (a crash mid-commit can leave a prefix of the shards
-// committed; each shard individually is still all-or-nothing and
-// crash-consistent through its own log).
-func (s *Sharded) Begin() (Txn, error) {
-	// Surface "no WAL" (or read-only, closed...) at Begin rather than at
-	// the first Put, matching the single-table contract.
-	probe, err := s.shards[0].Begin()
-	if err != nil {
-		return nil, err
-	}
-	x := &shardedTxn{s: s, sub: make([]Txn, len(s.shards))}
-	x.sub[0] = probe
-	return x, nil
-}
+// Begin starts a routing transaction (see BeginOp).
+func (s *Sharded) Begin() (Txn, error) { return s.BeginOp(nil) }
 
 type shardedTxn struct {
 	s    *Sharded
@@ -408,14 +368,9 @@ func (x *shardedTxn) forKey(key []byte) (Txn, error) {
 		i = shardOf(key, len(x.s.shards))
 	}
 	if x.sub[i] == nil {
-		t, err := x.s.shards[i].Begin()
+		t, err := x.s.shards[i].BeginOp(x.led)
 		if err != nil {
 			return nil, err
-		}
-		if x.led != nil {
-			if o, ok := t.(oplogTxn); ok {
-				o.SetOplog(x.led)
-			}
 		}
 		x.sub[i] = t
 	}

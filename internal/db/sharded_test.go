@@ -310,7 +310,7 @@ func TestShardedTelemetry(t *testing.T) {
 		}
 	}
 
-	srv, err := ServeTelemetry(s, "127.0.0.1:0")
+	srv, err := ServeTelemetry(s, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,15 +11,18 @@ import (
 // ServeTelemetry starts a telemetry HTTP server over an open database
 // (see internal/telemetry for the endpoint list). Every method serves
 // /stats from db.Stats; the hash method additionally mounts its metrics
-// registry (/metrics), tracer (/debug/events, /debug/slowops) and
-// bucket heatmap (/debug/heatmap). A sharded database mounts the shared
-// registry every shard aggregates into, the shards' tracer, a per-shard
-// heatmap array, and a /stats document whose "Shards" member breaks the
-// aggregate down — one ops dashboard for the whole fleet of shards
-// (dbserver points its -telemetry flag here). addr ":0" picks a free
-// port — read it back with the server's Addr. The caller owns the
-// returned server and must Close it before closing the database.
-func ServeTelemetry(d DB, addr string) (*telemetry.Server, error) {
+// registry (/metrics), tracer (/debug/events) and bucket heatmap
+// (/debug/heatmap). A sharded database mounts the shared registry every
+// shard aggregates into, the shards' tracer, a per-shard heatmap array,
+// and a /stats document whose "Shards" member breaks the aggregate down
+// — one ops dashboard for the whole fleet of shards (dbserver points
+// its -telemetry flag here). A non-nil rec, the recorder the callers of
+// the OpDB methods record their ledgers into, is served on /debug/oplog
+// and /debug/oplog/exemplars; nil leaves those endpoints unmounted.
+// addr ":0" picks a free port — read it back with the server's Addr.
+// The caller owns the returned server and must Close it before closing
+// the database.
+func ServeTelemetry(d DB, addr string, rec *oplog.Recorder) (*telemetry.Server, error) {
 	o := telemetry.Options{
 		Stats: func() (any, error) {
 			s, err := d.Stats()
@@ -29,10 +32,11 @@ func ServeTelemetry(d DB, addr string) (*telemetry.Server, error) {
 			return s, nil
 		},
 	}
-	if rec := OplogRecorder(d); rec != nil {
-		MountOplog(&o, rec)
+	if rec != nil {
+		o.Oplog = func() (any, error) { return rec.Snapshot(), nil }
+		o.OplogExemplars = func() (any, error) { return rec.Exemplars(), nil }
 	}
-	switch x := unwrap(d).(type) {
+	switch x := d.(type) {
 	case *hashDB:
 		t := x.table()
 		o.Registry = t.MetricsRegistry()
@@ -44,14 +48,6 @@ func ServeTelemetry(d DB, addr string) (*telemetry.Server, error) {
 		o.Heatmap = func() (any, error) { return shardedHeatmap(x) }
 	}
 	return telemetry.Serve(addr, o)
-}
-
-// MountOplog points o's /debug/oplog endpoints at rec. ServeTelemetry
-// calls it for EnableOplog-wrapped databases; callers composing their
-// own telemetry.Options (the network server) use it directly.
-func MountOplog(o *telemetry.Options, rec *oplog.Recorder) {
-	o.Oplog = func() (any, error) { return rec.Snapshot(), nil }
-	o.OplogExemplars = func() (any, error) { return rec.Exemplars(), nil }
 }
 
 // shardHeat is one shard's slice of the sharded heatmap document.

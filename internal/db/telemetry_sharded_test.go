@@ -15,8 +15,9 @@ import (
 
 // TestShardedTelemetryFiltered is the e2e for the sharded observation
 // surface with read acceleration live: a 4-shard database (tag filters
-// on by default) under a hit/miss mix, served through the EnableOplog
-// wrapper. The aggregated /metrics page must carry the labeled
+// on by default) under a hit/miss mix, each op run through the OpDB
+// methods under a ledger recorded into the recorder ServeTelemetry
+// mounts. The aggregated /metrics page must carry the labeled
 // hash_filter_* series and the oplog histograms, /debug/heatmap must
 // break per-bucket filter occupancy down per shard, /stats must carry
 // the derived filter hit rate, and /debug/oplog must attribute the
@@ -29,31 +30,46 @@ func TestShardedTelemetryFiltered(t *testing.T) {
 	}
 	defer s.Close()
 	rec := oplog.NewRecorder(reg, s.NShards())
-	d := EnableOplog(s, rec)
+	var led oplog.Ledger
+	record := func(cmd oplog.Cmd, key []byte, op func(*oplog.Ledger) error) error {
+		led.StartOp(cmd, key)
+		err := op(&led)
+		led.Finish()
+		rec.Record(&led)
+		return err
+	}
+	get := func(key []byte) error {
+		return record(oplog.CmdGet, key, func(led *oplog.Ledger) error {
+			_, err := s.GetBufOp(led, key, nil)
+			return err
+		})
+	}
 
 	pairs := make([]Pair, 512)
 	for i := range pairs {
 		pairs[i] = Pair{Key: []byte(fmt.Sprintf("k%04d", i)), Data: []byte("v")}
 	}
-	if err := d.PutBatch(pairs); err != nil {
+	if err := record(oplog.CmdBatch, pairs[0].Key, func(led *oplog.Ledger) error {
+		return s.PutBatchOp(led, pairs)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 256; i++ {
-		if _, err := d.Get([]byte(fmt.Sprintf("k%04d", i))); err != nil {
+		if err := get([]byte(fmt.Sprintf("k%04d", i))); err != nil {
 			t.Fatalf("get hit %d: %v", i, err)
 		}
-		if _, err := d.Get([]byte(fmt.Sprintf("absent%04d", i))); err != ErrNotFound {
+		if err := get([]byte(fmt.Sprintf("absent%04d", i))); err != ErrNotFound {
 			t.Fatalf("get miss %d = %v, want ErrNotFound", i, err)
 		}
 	}
 
-	srv, err := ServeTelemetry(d, "127.0.0.1:0")
+	srv, err := ServeTelemetry(s, "127.0.0.1:0", rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	get := func(path string) []byte {
+	scrape := func(path string) []byte {
 		t.Helper()
 		resp, err := http.Get(srv.URL() + path)
 		if err != nil {
@@ -73,7 +89,7 @@ func TestShardedTelemetryFiltered(t *testing.T) {
 	// The merged metrics page: the filter series must appear with their
 	// curated HELP text (not as bare unlabeled names), and the recorder's
 	// histograms must have landed in the same registry.
-	prom := string(get("/metrics"))
+	prom := string(scrape("/metrics"))
 	for _, want := range []string{
 		"# HELP hash_filter_skips_total Tag-filter",
 		"# TYPE hash_filter_skips_total counter",
@@ -96,7 +112,7 @@ func TestShardedTelemetryFiltered(t *testing.T) {
 			Buckets uint32 `json:"buckets"`
 		} `json:"heatmap"`
 	}
-	raw := get("/debug/heatmap")
+	raw := scrape("/debug/heatmap")
 	if err := json.Unmarshal(raw, &heat); err != nil {
 		t.Fatalf("/debug/heatmap not a shard array: %v", err)
 	}
@@ -119,7 +135,7 @@ func TestShardedTelemetryFiltered(t *testing.T) {
 			FilterHitRate float64
 		}
 	}
-	if err := json.Unmarshal(get("/stats"), &stats); err != nil {
+	if err := json.Unmarshal(scrape("/stats"), &stats); err != nil {
 		t.Fatalf("/stats not JSON: %v", err)
 	}
 	if stats.Hash.FilterSkips == 0 || stats.Hash.FilterHitRate == 0 {
@@ -130,7 +146,7 @@ func TestShardedTelemetryFiltered(t *testing.T) {
 	// The oplog summary must attribute the traffic above, and at least
 	// one exemplar must have been retained for it.
 	var sum oplog.Summary
-	if err := json.Unmarshal(get("/debug/oplog"), &sum); err != nil {
+	if err := json.Unmarshal(scrape("/debug/oplog"), &sum); err != nil {
 		t.Fatalf("/debug/oplog not JSON: %v", err)
 	}
 	cmds := map[string]int64{}
@@ -141,7 +157,7 @@ func TestShardedTelemetryFiltered(t *testing.T) {
 		t.Errorf("/debug/oplog commands = %v, want 512 gets and 1 batch", cmds)
 	}
 	var exs []oplog.ExemplarView
-	if err := json.Unmarshal(get("/debug/oplog/exemplars"), &exs); err != nil {
+	if err := json.Unmarshal(scrape("/debug/oplog/exemplars"), &exs); err != nil {
 		t.Fatalf("/debug/oplog/exemplars not JSON: %v", err)
 	}
 	if len(exs) == 0 {

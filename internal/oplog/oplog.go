@@ -8,11 +8,11 @@
 // layer that ate the time instead of vanishing into a global histogram.
 //
 // A Ledger is a small fixed-size struct owned by whoever starts the
-// request (a server connection, or the db adapter when direct-call
-// ledgers are enabled). It is threaded down the layers as a pointer;
-// every recording method is nil-receiver-safe, so an unenabled path
-// pays one predictable branch and zero clock reads — the same contract
-// the trace package establishes with its nil-tracer checks. Phase
+// request (a server connection, or any caller of the db package's …Op
+// methods). It is threaded down the layers as a pointer; every
+// recording method is nil-receiver-safe, so an unenabled path pays one
+// predictable branch and zero clock reads — the same contract the
+// trace package establishes with its nil-tracer checks. Phase
 // counters are updated with atomic adds because one ledger can be
 // visible to several goroutines at once (a sharded PutBatch fans out,
 // a group-commit follower parks while the leader syncs).
@@ -157,7 +157,7 @@ type Ledger struct {
 	count [NumPhases]uint32 // events per phase
 	start int64             // Clock() at StartOp
 	end   int64             // Clock() at Finish
-	seq0  uint64            // trace-ring sequence span covering the op
+	seq0  uint64            // trace-ring span [seq0-1, seq1) of the op; seq0 0: unset
 	seq1  uint64
 	shard int32 // -1 until routed
 	cmd   Cmd
@@ -195,13 +195,24 @@ func (l *Ledger) AddN(p int, d int64, n int) {
 	atomic.AddUint32(&l.count[p], uint32(n))
 }
 
-// Since charges Clock()-st to phase p. Safe on a nil receiver.
-func (l *Ledger) Since(p int, st int64) {
+// Now starts timing a phase: Clock() on a live ledger, 0 without a
+// clock read on a nil one. Pair it with Since.
+func (l *Ledger) Now() int64 {
 	if l == nil {
-		return
+		return 0
 	}
-	l.Add(p, Clock()-st)
+	return Clock()
 }
+
+// Since charges Clock()-st to phase p. Safe on a nil receiver, where
+// it inlines to one branch (the clock read lives in since).
+func (l *Ledger) Since(p int, st int64) {
+	if l != nil {
+		l.since(p, st)
+	}
+}
+
+func (l *Ledger) since(p int, st int64) { l.Add(p, Clock()-st) }
 
 // SetShard records which shard served the request. Safe on a nil
 // receiver.
@@ -212,14 +223,28 @@ func (l *Ledger) SetShard(s int) {
 	atomic.StoreInt32(&l.shard, int32(s))
 }
 
-// SetTraceSpan records the trace-ring sequence window [seq0, seq1)
-// covering the op, linking an exemplar to its trace events. Safe on a
-// nil receiver.
-func (l *Ledger) SetTraceSpan(seq0, seq1 uint64) {
+// MarkTrace widens the ledger's trace-ring sequence window [seq0, seq1)
+// to reach ring position seq, linking an exemplar to its trace events.
+// A layer marks the ring's next position before and after its part of
+// the op; every shard of a fanned-out batch and every sub-transaction
+// of a cross-shard commit marks the one ledger, concurrently or in
+// turn, and the window grows to cover them all. Safe on a nil receiver.
+func (l *Ledger) MarkTrace(seq uint64) {
 	if l == nil {
 		return
 	}
-	l.seq0, l.seq1 = seq0, seq1
+	for {
+		cur := atomic.LoadUint64(&l.seq0)
+		if cur != 0 && cur <= seq+1 || atomic.CompareAndSwapUint64(&l.seq0, cur, seq+1) {
+			break
+		}
+	}
+	for {
+		cur := atomic.LoadUint64(&l.seq1)
+		if cur >= seq || atomic.CompareAndSwapUint64(&l.seq1, cur, seq) {
+			break
+		}
+	}
 }
 
 // Finish stamps the end of the request. Safe on a nil receiver.
@@ -265,5 +290,11 @@ func (l *Ledger) Shard() int { return int(atomic.LoadInt32(&l.shard)) }
 // Cmd returns the command classification.
 func (l *Ledger) Command() Cmd { return l.cmd }
 
-// TraceSpan returns the recorded trace-ring sequence window.
-func (l *Ledger) TraceSpan() (uint64, uint64) { return l.seq0, l.seq1 }
+// TraceSpan returns the recorded trace-ring sequence window [seq0,
+// seq1); an op that marked no trace position reports 0, 0.
+func (l *Ledger) TraceSpan() (seq0, seq1 uint64) {
+	if s0 := atomic.LoadUint64(&l.seq0); s0 != 0 {
+		return s0 - 1, atomic.LoadUint64(&l.seq1)
+	}
+	return 0, 0
+}

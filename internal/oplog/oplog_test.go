@@ -22,7 +22,7 @@ func TestNilLedgerZeroAlloc(t *testing.T) {
 		led.AddN(PhaseCoalesce, 10, 4)
 		led.Since(PhaseFilter, 0)
 		led.SetShard(3)
-		led.SetTraceSpan(1, 2)
+		led.MarkTrace(1)
 		led.Finish()
 		rec.Record(led)
 	})
@@ -119,7 +119,8 @@ func TestRecorderExemplars(t *testing.T) {
 		led.StartOp(CmdGet, []byte(key))
 		led.start = Clock() - int64(elapsed) // backdate to control Elapsed
 		led.SetShard(0)
-		led.SetTraceSpan(7, 9)
+		led.MarkTrace(9)
+		led.MarkTrace(7)
 		led.Finish()
 		rec.Record(&led)
 	}

@@ -367,9 +367,8 @@ func viewOf(e *Exemplar) ExemplarView {
 		Wall:      e.Wall,
 		ElapsedUS: float64(l.Elapsed()) / 1e3,
 		PhaseUS:   float64(l.PhaseTotal()) / 1e3,
-		TraceSeq0: l.seq0,
-		TraceSeq1: l.seq1,
 	}
+	v.TraceSeq0, v.TraceSeq1 = l.TraceSpan()
 	for p := 0; p < NumPhases; p++ {
 		if n := l.PhaseCount(p); n > 0 {
 			v.Phases = append(v.Phases, PhaseStat{

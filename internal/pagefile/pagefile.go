@@ -125,7 +125,7 @@ type Stats struct {
 }
 
 // SetTrace attaches a tracer to the store's latency accounting: device
-// operations whose wall-clock duration meets the tracer's slow-op
+// operations whose wall-clock duration meets the tracer's slow-I/O
 // threshold emit a trace.EvSlowIO event. A nil tracer detaches.
 func (s *Stats) SetTrace(t *trace.Tracer) { s.tr.Store(t) }
 

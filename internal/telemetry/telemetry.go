@@ -1,8 +1,8 @@
 // Package telemetry is the hashing package's live observation surface:
 // an opt-in HTTP server that exposes the metrics registry in Prometheus
-// text format, a JSON stats view, the trace ring and slow-op history,
-// a per-bucket heatmap, and net/http/pprof — everything needed to watch
-// and debug a table under load without stopping it.
+// text format, a JSON stats view, the trace ring, a per-bucket heatmap,
+// the op-ledger summary and exemplars, and net/http/pprof — everything
+// needed to watch and debug a table under load without stopping it.
 //
 // The package is deliberately generic: it serves closures and interfaces
 // (a *metrics.Registry, a *trace.Tracer, stats/heatmap functions), so
@@ -18,7 +18,6 @@
 //	/stats                 JSON statistics snapshot
 //	/debug/events          recent trace ring contents; ?type=NAME (repeatable)
 //	                       filters by event type, ?n=N caps the count
-//	/debug/slowops         captured slow-operation spans
 //	/debug/heatmap         per-bucket fill factor and chain depth
 //	/debug/oplog           per-command, per-shard phase-latency summary
 //	/debug/oplog/exemplars slowest request ledgers per command per window
@@ -44,7 +43,7 @@ import (
 type Options struct {
 	// Registry backs /metrics.
 	Registry *metrics.Registry
-	// Tracer backs /debug/events and /debug/slowops.
+	// Tracer backs /debug/events.
 	Tracer *trace.Tracer
 	// Stats computes the /stats JSON payload per request.
 	Stats func() (any, error)
@@ -72,7 +71,6 @@ func NewHandler(o Options) http.Handler {
 			"/metrics          Prometheus text format\n"+
 			"/stats            JSON statistics\n"+
 			"/debug/events     trace ring (?type=NAME&n=N)\n"+
-			"/debug/slowops    slow-operation spans\n"+
 			"/debug/heatmap    per-bucket fill and chain depth\n"+
 			"/debug/oplog      per-command phase-latency summary\n"+
 			"/debug/oplog/exemplars  slowest request ledgers per window\n"+
@@ -126,20 +124,6 @@ func NewHandler(o Options) http.Handler {
 			Count   int           `json:"count"`
 			Events  []trace.Event `json:"events"`
 		}{o.Tracer.Ring().Next(), len(evs), evs})
-	})
-
-	mux.HandleFunc("/debug/slowops", func(w http.ResponseWriter, r *http.Request) {
-		if o.Tracer == nil {
-			http.Error(w, "no tracer attached", http.StatusNotFound)
-			return
-		}
-		ops, seen := o.Tracer.SlowOps()
-		writeJSON(w, struct {
-			ThresholdNS int64          `json:"threshold_ns"`
-			Seen        uint64         `json:"seen"`
-			Retained    int            `json:"retained"`
-			Ops         []trace.SlowOp `json:"ops"`
-		}{int64(o.Tracer.SlowOpThreshold()), seen, len(ops), ops})
 	})
 
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

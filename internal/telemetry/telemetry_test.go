@@ -75,9 +75,6 @@ func TestHandlerFull(t *testing.T) {
 	if code, _ := get(t, h, "/debug/events?n=abc"); code != http.StatusBadRequest {
 		t.Fatalf("bad n: %d, want 400", code)
 	}
-	if code, _ := get(t, h, "/debug/slowops"); code != 200 {
-		t.Fatalf("/debug/slowops: %d", code)
-	}
 	if code, _ := get(t, h, "/debug/pprof/"); code != 200 {
 		t.Fatalf("/debug/pprof/: %d", code)
 	}
@@ -90,7 +87,7 @@ func TestHandlerFull(t *testing.T) {
 // explanatory body, never a panic or a 500.
 func TestHandlerEmpty(t *testing.T) {
 	h := NewHandler(Options{})
-	for _, path := range []string{"/metrics", "/stats", "/debug/events", "/debug/slowops", "/debug/heatmap"} {
+	for _, path := range []string{"/metrics", "/stats", "/debug/events", "/debug/heatmap", "/debug/oplog", "/debug/oplog/exemplars"} {
 		code, body := get(t, h, path)
 		if code != http.StatusNotFound || body == "" {
 			t.Fatalf("%s with no source: %d %q, want 404 with body", path, code, body)

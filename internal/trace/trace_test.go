@@ -13,14 +13,12 @@ func TestNilTracerIsInert(t *testing.T) {
 	tr.Emit(EvSplitBegin, 1, 2, 3, 0)
 	tr.EmitDur(EvSyncEnd, time.Second, 1, 0, 0, 0)
 	tr.SlowIO(IORead, 7, 4096, time.Second)
-	tr.SetSlowOpThreshold(0)
-	sp := tr.OpBegin()
-	tr.OpEnd(OpGet, 0, sp)
+	tr.SetSlowIOThreshold(0)
 	if got := tr.Events(0); got != nil {
 		t.Fatalf("nil tracer Events = %v, want nil", got)
 	}
-	if ops, n := tr.SlowOps(); ops != nil || n != 0 {
-		t.Fatalf("nil tracer SlowOps = %v, %d", ops, n)
+	if th := tr.SlowIOThreshold(); th != -1 {
+		t.Fatalf("nil tracer SlowIOThreshold = %v, want -1", th)
 	}
 	if tr.Ring() != nil {
 		t.Fatal("nil tracer Ring != nil")
@@ -82,68 +80,40 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 	}
 }
 
-func TestSlowOpCapture(t *testing.T) {
-	tr := New(256)
-	tr.SetSlowOpThreshold(0) // capture everything
+func TestSlowIOCapture(t *testing.T) {
+	tr := New(64)
+	tr.SetSlowIOThreshold(0) // record every device operation
+	tr.SlowIO(IOWrite, 9, 4096, 5*time.Millisecond)
 
-	sp := tr.OpBegin()
-	tr.Emit(EvSplitBegin, 1, 2, 2, 0)
-	tr.Emit(EvSplitEnd, 1, 2, 9, 0)
-	tr.OpEnd(OpPut, 0xbeef, sp)
-
-	ops, seen := tr.SlowOps()
-	if seen != 1 || len(ops) != 1 {
-		t.Fatalf("SlowOps = %d ops, %d seen", len(ops), seen)
+	evs := tr.Events(0, EvSlowIO)
+	if len(evs) != 1 {
+		t.Fatalf("slow-io events = %v, want 1", evs)
 	}
-	op := ops[0]
-	if op.Op != OpPut || op.Arg != 0xbeef || op.Dur < 0 {
-		t.Fatalf("captured op = %+v", op)
-	}
-	if len(op.Events) != 2 || op.Events[0].Type != EvSplitBegin || op.Events[1].Type != EvSplitEnd {
-		t.Fatalf("captured span = %v", op.Events)
-	}
-	// The EvSlowOp marker lands in the ring but not inside its own span.
-	markers := tr.Events(0, EvSlowOp)
-	if len(markers) != 1 || markers[0].Args[0] != uint64(OpPut) || markers[0].Args[2] != 2 {
-		t.Fatalf("slow-op marker = %v", markers)
+	if e := evs[0]; e.Args != [4]uint64{IOWrite, 9, 4096, 0} || e.Dur != 5*time.Millisecond {
+		t.Fatalf("slow-io event = %+v", e)
 	}
 }
 
-func TestSlowOpThresholdFilters(t *testing.T) {
+func TestSlowIOThresholdFilters(t *testing.T) {
 	tr := New(64)
-	tr.SetSlowOpThreshold(time.Hour) // nothing is that slow
-	sp := tr.OpBegin()
-	tr.OpEnd(OpGet, 1, sp)
-	if _, seen := tr.SlowOps(); seen != 0 {
-		t.Fatal("fast op captured despite high threshold")
+	if th := tr.SlowIOThreshold(); th != DefaultSlowIO {
+		t.Fatalf("new tracer threshold = %v, want %v", th, DefaultSlowIO)
 	}
-	tr.SetSlowOpThreshold(-1) // disabled entirely
-	sp = tr.OpBegin()
-	tr.OpEnd(OpGet, 1, sp)
-	if _, seen := tr.SlowOps(); seen != 0 {
-		t.Fatal("op captured while capture disabled")
+	tr.SlowIO(IORead, 1, 4096, DefaultSlowIO-1) // just under the default
+	tr.SetSlowIOThreshold(time.Hour)            // nothing is that slow
+	tr.SlowIO(IORead, 2, 4096, time.Second)
+	tr.SetSlowIOThreshold(-1) // disabled entirely
+	tr.SlowIO(IOSync, 3, 0, time.Hour)
+	if th := tr.SlowIOThreshold(); th != -1 {
+		t.Fatalf("disabled threshold = %v, want -1", th)
 	}
-}
-
-func TestSlowOpHistoryBounded(t *testing.T) {
-	tr := New(64)
-	tr.SetSlowOpThreshold(0)
-	for i := 0; i < slowHistory*2; i++ {
-		sp := tr.OpBegin()
-		tr.OpEnd(OpSync, uint64(i), sp)
+	if evs := tr.Events(0); len(evs) != 0 {
+		t.Fatalf("fast or disabled I/O recorded: %v", evs)
 	}
-	ops, seen := tr.SlowOps()
-	if seen != uint64(slowHistory*2) {
-		t.Fatalf("seen = %d", seen)
-	}
-	if len(ops) != slowHistory {
-		t.Fatalf("retained %d, want %d", len(ops), slowHistory)
-	}
-	// Oldest first, covering the second half.
-	for i, op := range ops {
-		if want := uint64(slowHistory + i); op.Arg != want {
-			t.Fatalf("retained op %d has arg %d, want %d", i, op.Arg, want)
-		}
+	tr.SetSlowIOThreshold(time.Millisecond)
+	tr.SlowIO(IOSync, 4, 0, time.Millisecond) // at the threshold counts
+	if evs := tr.Events(0, EvSlowIO); len(evs) != 1 || evs[0].Args[1] != 4 {
+		t.Fatalf("I/O at the threshold not recorded: %v", evs)
 	}
 }
 

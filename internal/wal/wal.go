@@ -378,12 +378,9 @@ func (l *Log) SyncTo(end int64) error { return l.SyncToOp(nil, end) }
 // is covered by another committer's fsync (before or after parking on
 // the group-commit round) charges the follower-join phase; the caller
 // that performs the device fsync charges the leader phase, including
-// any time it first spent parked. A nil ledger is exactly SyncTo.
+// any time it first spent parked. A nil ledger reads no clock.
 func (l *Log) SyncToOp(led *oplog.Ledger, end int64) error {
-	var st int64
-	if led != nil {
-		st = oplog.Clock()
-	}
+	st := led.Now()
 	l.sc.mu.Lock()
 	for {
 		if l.sc.synced >= end {
@@ -391,9 +388,7 @@ func (l *Log) SyncToOp(led *oplog.Ledger, end int64) error {
 			l.stMu.Lock()
 			l.st.FsyncJoins++
 			l.stMu.Unlock()
-			if led != nil {
-				led.Since(oplog.PhaseWALFsyncJoin, st)
-			}
+			led.Since(oplog.PhaseWALFsyncJoin, st)
 			return nil
 		}
 		if !l.sc.syncing {
@@ -404,9 +399,7 @@ func (l *Log) SyncToOp(led *oplog.Ledger, end int64) error {
 		if l.sc.round != round && l.sc.synced < end && l.sc.lastErr != nil {
 			err := l.sc.lastErr
 			l.sc.mu.Unlock()
-			if led != nil {
-				led.Since(oplog.PhaseWALFsyncJoin, st)
-			}
+			led.Since(oplog.PhaseWALFsyncJoin, st)
 			return err
 		}
 	}
@@ -437,23 +430,8 @@ func (l *Log) SyncToOp(led *oplog.Ledger, end int64) error {
 	}
 	l.sc.cond.Broadcast()
 	l.sc.mu.Unlock()
-	if led != nil {
-		led.Since(oplog.PhaseWALFsyncLead, st)
-	}
+	led.Since(oplog.PhaseWALFsyncLead, st)
 	return err
-}
-
-// AppendOp is Append with op-ledger attribution: transaction frame
-// marshal plus the single contiguous log write charge the WAL-marshal
-// phase. A nil ledger is exactly Append.
-func (l *Log) AppendOp(led *oplog.Ledger, ops []Op) (commitLSN uint64, end int64, err error) {
-	if led == nil {
-		return l.Append(ops)
-	}
-	st := oplog.Clock()
-	commitLSN, end, err = l.Append(ops)
-	led.Since(oplog.PhaseWALMarshal, st)
-	return commitLSN, end, err
 }
 
 // Sync makes every appended byte durable.

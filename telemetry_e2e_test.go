@@ -119,7 +119,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if hm.Buckets == 0 {
 		t.Fatal("/debug/heatmap reports zero buckets")
 	}
-	get("/debug/slowops")
 	get("/debug/pprof/profile?seconds=1")
 
 	// hashmon: two quick polls must see the workload moving.
