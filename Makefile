@@ -11,8 +11,10 @@ check: vet build test race crash perfbench-test
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

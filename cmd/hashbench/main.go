@@ -83,7 +83,7 @@ import (
 func main() {
 	n := flag.Int("n", 0, "dictionary size (0 = the paper's 24474 keys)")
 	quick := flag.Bool("quick", false, "use a 4000-key dictionary")
-	check := flag.Float64("check", 0, "bulkload/concurrency: fail below this speedup (0 = no gate)")
+	check := flag.Float64("check", 0, "regression gate (0 = none): bulkload, concurrency, txn, serveload and oplog fail below this ratio; misses fails above it (a ceiling)")
 	telemetry := flag.String("telemetry", "127.0.0.1:0", "serve: telemetry listen address")
 	dur := flag.Duration("dur", 0, "serve: workload duration (0 = until killed)")
 	conns := flag.Int("conns", 0, "serveload: client connections (0 = 8)")

@@ -28,9 +28,9 @@ import (
 //	               presize fast path jumps straight to the final
 //	               geometry, so no splits ever run.
 //	groupcommit  — four concurrent writers doing chunked PutBatch +
-//	               Sync with Options.GroupCommit: overlapping syncs
-//	               join one shared barrier instead of each paying
-//	               their own.
+//	               Sync: overlapping syncs join one shared barrier (the
+//	               table's group commit) instead of each paying their
+//	               own.
 //
 // Timing follows the harness's paper methodology (see the package doc):
 // user is measured wall time, sys is the simulated cost of the I/O
@@ -111,11 +111,11 @@ func bulkloadPairs(n int) []core.Pair {
 // BulkloadStrategy from the wall clock and the store/table counters. fn
 // owns the sync schedule; a final Sync guarantees every strategy ends
 // durable.
-func bulkloadRun(n int, groupCommit bool, fn func(*core.Table) error) (BulkloadStrategy, error) {
+func bulkloadRun(n int, fn func(*core.Table) error) (BulkloadStrategy, error) {
 	store := pagefile.NewMem(bulkloadBsize, bulkloadCost)
 	t, err := core.Open("", &core.Options{
 		Bsize: bulkloadBsize, Ffactor: bulkloadFfactor,
-		CacheSize: 1 << 26, Store: store, GroupCommit: groupCommit,
+		CacheSize: 1 << 26, Store: store,
 	})
 	if err != nil {
 		return BulkloadStrategy{}, err
@@ -178,7 +178,7 @@ func Bulkload(maxKeys int) (*BulkloadResult, error) {
 	for _, n := range sizes {
 		pairs := bulkloadPairs(n)
 
-		looped, err := bulkloadRun(n, false, func(t *core.Table) error {
+		looped, err := bulkloadRun(n, func(t *core.Table) error {
 			for _, p := range pairs {
 				if err := t.Put(p.Key, p.Data); err != nil {
 					return err
@@ -193,7 +193,7 @@ func Bulkload(maxKeys int) (*BulkloadResult, error) {
 			return nil, fmt.Errorf("looped at %d: %w", n, err)
 		}
 
-		batch, err := bulkloadRun(n, false, func(t *core.Table) error {
+		batch, err := bulkloadRun(n, func(t *core.Table) error {
 			for lo := 0; lo < len(pairs); lo += core.DefaultBatchSize {
 				hi := min(lo+core.DefaultBatchSize, len(pairs))
 				if err := t.PutBatch(pairs[lo:hi]); err != nil {
@@ -209,7 +209,7 @@ func Bulkload(maxKeys int) (*BulkloadResult, error) {
 			return nil, fmt.Errorf("batch at %d: %w", n, err)
 		}
 
-		presized, err := bulkloadRun(n, false, func(t *core.Table) error {
+		presized, err := bulkloadRun(n, func(t *core.Table) error {
 			return t.PutBatch(pairs)
 		})
 		if err != nil {
@@ -217,7 +217,7 @@ func Bulkload(maxKeys int) (*BulkloadResult, error) {
 		}
 
 		const writers = 4
-		gc, err := bulkloadRun(n, true, func(t *core.Table) error {
+		gc, err := bulkloadRun(n, func(t *core.Table) error {
 			var wg sync.WaitGroup
 			errs := make([]error, writers)
 			per := (n + writers - 1) / writers

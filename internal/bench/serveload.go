@@ -18,7 +18,6 @@ import (
 	"unixhash/internal/oplog"
 	"unixhash/internal/pagefile"
 	"unixhash/internal/server"
-	"unixhash/internal/wal"
 )
 
 // Serveload measures the network front end: real TCP connections
@@ -47,10 +46,10 @@ var (
 		SyncCost:  time.Millisecond,
 		Sleep:     true,
 	}
-	serveWalCost = wal.CostModel{
-		AppendCost: 50 * time.Microsecond,
-		SyncCost:   500 * time.Microsecond,
-		Sleep:      true,
+	serveWalCost = pagefile.CostModel{
+		WriteCost: 50 * time.Microsecond,
+		SyncCost:  500 * time.Microsecond,
+		Sleep:     true,
 	}
 )
 

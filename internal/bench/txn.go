@@ -10,7 +10,6 @@ import (
 
 	"unixhash/internal/core"
 	"unixhash/internal/pagefile"
-	"unixhash/internal/wal"
 )
 
 // Txn measures what the write-ahead log buys a durable single Put. Every
@@ -44,10 +43,10 @@ var (
 		SyncCost:  5 * time.Millisecond,
 		Sleep:     true,
 	}
-	txnWalCost = wal.CostModel{
-		AppendCost: 50 * time.Microsecond,
-		SyncCost:   500 * time.Microsecond,
-		Sleep:      true,
+	txnWalCost = pagefile.CostModel{
+		WriteCost: 50 * time.Microsecond,
+		SyncCost:  500 * time.Microsecond,
+		Sleep:     true,
 	}
 )
 
@@ -166,7 +165,7 @@ func Txn(n int) (*TxnResult, error) {
 		Keys: n, Bsize: txnBsize, Ffactor: txnFfactor,
 		CheckpointEvery: txnCheckpointEvery,
 		StoreSyncUS:     txnStoreCost.SyncCost.Microseconds(),
-		WalAppendUS:     txnWalCost.AppendCost.Microseconds(),
+		WalAppendUS:     txnWalCost.WriteCost.Microseconds(),
 		WalFsyncUS:      txnWalCost.SyncCost.Microseconds(),
 	}
 

@@ -375,10 +375,10 @@ func TestBatchWriterArenaStaging(t *testing.T) {
 	}
 }
 
-// TestGroupCommitJoins: with GroupCommit, a Sync covering no new
+// TestGroupCommitJoins: on default options, a Sync covering no new
 // mutations joins the previous one instead of issuing another fsync.
 func TestGroupCommitJoins(t *testing.T) {
-	tbl := mustOpen(t, "", &Options{Bsize: 256, Ffactor: 8, GroupCommit: true})
+	tbl := mustOpen(t, "", &Options{Bsize: 256, Ffactor: 8})
 	defer tbl.Close()
 
 	if err := tbl.Put([]byte("k"), []byte("v")); err != nil {
@@ -418,7 +418,7 @@ func TestGroupCommitJoins(t *testing.T) {
 // goroutines (run under -race in CI) and verifies every batch that
 // Synced successfully is fully readable afterwards.
 func TestGroupCommitConcurrent(t *testing.T) {
-	tbl := mustOpen(t, "", &Options{Bsize: 256, Ffactor: 8, GroupCommit: true, CacheSize: 1 << 20})
+	tbl := mustOpen(t, "", &Options{Bsize: 256, Ffactor: 8, CacheSize: 1 << 20})
 	defer tbl.Close()
 
 	const writers = 8

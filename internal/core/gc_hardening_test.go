@@ -51,7 +51,7 @@ func TestGroupCommitFollowerSeesLeaderError(t *testing.T) {
 		release: make(chan struct{}),
 		err:     errBoom,
 	}
-	tbl := mustOpen(t, "", &Options{Store: gs, GroupCommit: true, Bsize: 128, Ffactor: 4})
+	tbl := mustOpen(t, "", &Options{Store: gs, Bsize: 128, Ffactor: 4})
 
 	// A pending mutation, written while the gate is still open (the
 	// durable dirty-mark syncs once on the way in).
@@ -100,7 +100,7 @@ func TestGroupCommitFollowerSeesLeaderError(t *testing.T) {
 // decode would catch a fingerprint that drifted from the pages).
 func TestSharedAccountingUnderConcurrentSyncs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "acct.db")
-	tbl := mustOpen(t, path, &Options{GroupCommit: true, Bsize: 128, Ffactor: 4, CacheSize: 1 << 16})
+	tbl := mustOpen(t, path, &Options{Bsize: 128, Ffactor: 4, CacheSize: 1 << 16})
 
 	const (
 		workers = 8

@@ -79,7 +79,7 @@ type tableMetrics struct {
 	batchPuts          *metrics.Counter
 	batchPairs         *metrics.Counter
 	presizes           *metrics.Counter
-	gcJoins            *metrics.Counter
+	syncJoins          *metrics.Counter
 	syncs              *metrics.Counter
 	syncLatency        *metrics.Histogram
 	keys               *metrics.Gauge
@@ -122,7 +122,8 @@ func (m *tableMetrics) init(reg *metrics.Registry) {
 	m.batchPuts = reg.Counter(MetricBatchPuts)
 	m.batchPairs = reg.Counter(MetricBatchPairs)
 	m.presizes = reg.Counter(MetricPresizes)
-	m.gcJoins = reg.Counter(MetricGroupJoins)
+	reg.Help(MetricGroupJoins, "Syncs that returned without a flush because a completed or in-flight group flush covered their mutations")
+	m.syncJoins = reg.Counter(MetricGroupJoins)
 	m.syncs = reg.Counter(MetricSyncs)
 	m.syncLatency = reg.Histogram(MetricSyncLatency)
 	m.keys = reg.Gauge(MetricKeys)

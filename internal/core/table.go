@@ -54,13 +54,6 @@ type Options struct {
 	// Cost is the simulated I/O cost model for stores the table creates
 	// itself. Zero means no simulated cost.
 	Cost pagefile.CostModel
-	// GroupCommit makes Sync a shared operation: concurrent syncers whose
-	// mutations are already covered by an in-flight or completed sync
-	// return without issuing another fsync, so N batch writers calling
-	// Sync pay for one durable flush instead of N. The durability
-	// guarantee is unchanged — a Sync never returns before every mutation
-	// that preceded it is on stable storage.
-	GroupCommit bool
 	// ControlledOnly disables uncontrolled (overflow-triggered) splits,
 	// leaving only the fill-factor policy — dynahash's behaviour. It
 	// exists for the ablation benchmarks of the paper's hybrid split
@@ -108,10 +101,10 @@ type Options struct {
 	// benchmarks). Implies WAL. The caller retains ownership: Close
 	// leaves the device open.
 	WALDevice wal.Device
-	// WALCost is the simulated I/O cost model charged to log appends and
-	// log fsyncs, the sequential-I/O counterpart of Cost. Zero charges
-	// nothing.
-	WALCost wal.CostModel
+	// WALCost is the simulated I/O cost model of the log device:
+	// WriteCost per append, SyncCost per fsync, both per checkpoint
+	// reset (ReadCost is unused). Zero charges nothing.
+	WALCost pagefile.CostModel
 	// DisableFilter stops reads from consulting the per-bucket tag
 	// filters (see filter.go). The filter bytes are still maintained by
 	// every write — they are persistent page state, and a table mutated
@@ -252,25 +245,16 @@ type Table struct {
 	// operation takes its own so concurrent readers never share one.
 	scratch sync.Pool
 
-	// Group commit (Options.GroupCommit). mutSeq counts completed write
-	// attempts. Since PR 6 it is bumped under the *shared* table lock
-	// (deferred in put/DeleteOp/Commit), so a load taken before a
-	// leader acquires the exclusive lock is a lower bound on what that
-	// leader's syncLocked will cover: the exclusive acquisition waits out
-	// every in-flight shared-phase writer, including the deferred bump.
-	// gc coordinates the leader/follower protocol in syncShared; round
-	// and lastErr let followers of a failed round report the leader's
-	// error instead of dog-piling fresh fsyncs onto a failing store.
-	groupCommit bool
-	mutSeq      atomic.Uint64
-	gc          struct {
-		mu       sync.Mutex
-		cond     *sync.Cond
-		inflight bool   // a leader is running syncLocked
-		synced   uint64 // highest mutSeq value durably covered
-		round    uint64 // completed leader rounds (successful or not)
-		lastErr  error  // outcome of the most recent round
-	}
+	// Group commit (see Sync). mutSeq counts completed write attempts.
+	// It is bumped before the writer releases the table lock (deferred
+	// in put/DeleteOp/commitOps under the shared lock, in PutBatchOp
+	// under the exclusive one), so a load taken before a leader acquires
+	// the exclusive lock is a lower bound on what that leader's
+	// syncLocked will cover: the exclusive acquisition waits out every
+	// in-flight writer, including the deferred bump.
+	// syncs shares leader/follower flushes over the mark mutSeq+1.
+	mutSeq atomic.Uint64
+	syncs  pagefile.SyncGroup
 
 	// Write-ahead log state (Options.WAL). appliedLSN is the commit LSN
 	// of the last transaction whose effects are in the table (memory or
@@ -323,9 +307,8 @@ func Open(path string, o *Options) (*Table, error) {
 		return nil, err
 	}
 
-	t := &Table{hash: opts.Hash, path: path, readonly: opts.ReadOnly, controlledOnly: opts.ControlledOnly, groupCommit: opts.GroupCommit, tr: opts.Trace,
+	t := &Table{hash: opts.Hash, path: path, readonly: opts.ReadOnly, controlledOnly: opts.ControlledOnly, tr: opts.Trace,
 		filtersOn: !opts.DisableFilter, prefetchOn: !opts.DisableReadAhead}
-	t.gc.cond = sync.NewCond(&t.gc.mu)
 	t.split.cond = sync.NewCond(&t.split.mu)
 
 	existing := false
@@ -1464,7 +1447,7 @@ func (t *Table) DeleteOp(led *oplog.Ledger, key []byte) error {
 // become empty. It decrements nkeys when it removes something.
 func (t *Table) deleteFromBucket(bucket, h uint32, key []byte, led *oplog.Ledger) (bool, error) {
 	removed := false
-	pos := 0                 // chain position of the page under examination
+	pos := 0                // chain position of the page under examination
 	var prevBuf *buffer.Buf // predecessor of the page under examination
 
 	cur, err := t.getBucketPage(led, bucket)
@@ -1737,87 +1720,43 @@ func (t *Table) Len() int {
 }
 
 // Sync flushes all dirty pages, bitmaps and the header to the store.
-// With Options.GroupCommit, concurrent Syncs share one durable flush
-// (see syncShared).
+// Concurrent Syncs share one durable flush through the table's
+// pagefile.SyncGroup. Each caller asks for the mutation sequence number
+// it saw, plus one, to be covered: a completed flush that already covers
+// it makes the call a join; otherwise the caller waits for the flush in
+// flight or leads one (syncFlush) on behalf of everyone who arrived
+// meanwhile. The offset of one keeps the covered mark (0 at open) below
+// every request until the first flush succeeds, so a fresh, recovered or
+// unrecovered table's first Sync always leads — and an unrecovered one
+// reports ErrNeedsRecovery. A follower of a failed flush gets the
+// leader's error. A Sync returns nil only once every mutation that
+// preceded it is on stable storage.
 func (t *Table) Sync() error {
-	if t.groupCommit {
-		t.mu.RLock()
-		err := t.checkOpen()
-		ro := t.readonly
-		t.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-		if ro {
-			return nil
-		}
-		return t.syncShared()
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.checkOpen(); err != nil {
+	t.mu.RLock()
+	err := t.checkOpen()
+	ro := t.readonly
+	t.mu.RUnlock()
+	if err != nil || ro {
 		return err
 	}
-	if t.readonly {
-		return nil
+	led, err := t.syncs.Sync(t.mutSeq.Load()+1, t.syncFlush)
+	if !led && err == nil {
+		t.m.syncJoins.Inc()
 	}
-	return t.syncLocked()
+	return err
 }
 
-// syncShared is the group-commit protocol. Each caller snapshots the
-// mutation sequence number it needs covered; if a completed sync already
-// covers it the call returns immediately (a "join"), if a sync is in
-// flight the caller waits for it, and otherwise the caller elects itself
-// leader and runs one syncLocked on behalf of everyone waiting. A
-// leader's sync covers every mutation sequenced before it took the table
-// lock, so a successful round satisfies all joined followers at the cost
-// of a single fsync pair. A follower that waited out a round whose leader
-// failed gets that leader's error: the store just refused an fsync, and a
-// retry-as-leader from every waiter would turn one failure into a stampede
-// of doomed flush attempts against a poisoned store (each burning its own
-// FlushAll and fsync). The next explicit Sync call still retries the
-// protocol from scratch.
-func (t *Table) syncShared() error {
-	want := t.mutSeq.Load()
-	t.gc.mu.Lock()
-	for {
-		if t.gc.synced >= want {
-			t.gc.mu.Unlock()
-			t.m.gcJoins.Inc()
-			return nil
-		}
-		if !t.gc.inflight {
-			break
-		}
-		round := t.gc.round
-		t.gc.cond.Wait()
-		if t.gc.round != round && t.gc.synced < want && t.gc.lastErr != nil {
-			err := t.gc.lastErr
-			t.gc.mu.Unlock()
-			return err
-		}
-	}
-	t.gc.inflight = true
-	t.gc.mu.Unlock()
-
+// syncFlush is a group-sync leader's flush: it takes the exclusive lock,
+// whose acquisition waits out every in-flight writer, and runs the
+// two-phase protocol over every mutation sequenced so far.
+func (t *Table) syncFlush() (uint64, error) {
 	t.mu.Lock()
-	covered := t.mutSeq.Load()
-	err := t.checkOpen()
-	if err == nil && !t.readonly {
-		err = t.syncLocked()
+	defer t.mu.Unlock()
+	covered := t.mutSeq.Load() + 1
+	if err := t.checkOpen(); err != nil {
+		return covered, err
 	}
-	t.mu.Unlock()
-
-	t.gc.mu.Lock()
-	t.gc.inflight = false
-	t.gc.round++
-	t.gc.lastErr = err
-	if err == nil && covered > t.gc.synced {
-		t.gc.synced = covered
-	}
-	t.gc.cond.Broadcast()
-	t.gc.mu.Unlock()
-	return err
+	return covered, t.syncLocked()
 }
 
 // syncLocked is the ordered two-phase durability protocol. Phase one

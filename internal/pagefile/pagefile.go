@@ -9,6 +9,12 @@
 // the benchmark harness reports as "system time". Stores may be backed by
 // a real file (FileStore) or by memory (MemStore), and a fault-injecting
 // wrapper (FaultStore) is provided for failure testing.
+//
+// The package also holds the two pieces of the durable-flush path that
+// the write-ahead log (internal/wal) shares with the page stores rather
+// than copying: CostModel, the stack's one simulated-disk cost model,
+// and SyncGroup, the one leader/follower group-sync protocol behind both
+// the hash table's Sync and the log's SyncTo.
 package pagefile
 
 import (
@@ -78,14 +84,28 @@ type VectorReader interface {
 }
 
 // CostModel assigns a simulated cost to each I/O operation, standing in
-// for the 1991 disk the paper measured. Costs accumulate in Stats.IOTime;
-// if Sleep is set the store also really sleeps, making wall-clock elapsed
-// time track the simulation (useful for demos, off for benchmarks).
+// for the 1991 disk the paper measured. It is the one cost model of the
+// stack: page stores charge ReadCost/WriteCost per page moved and
+// SyncCost per sync, and the write-ahead log (internal/wal) charges
+// WriteCost per append, SyncCost per fsync and both per reset, so a
+// seek-bound page flush and a sequential log append are compared on one
+// footing. Costs accumulate in Stats.IOTime (wal.Stats.IOTime for the
+// log); if Sleep is set the device also really sleeps, making wall-clock
+// elapsed time track the simulation (useful for demos, off for
+// benchmarks). Zero values charge nothing.
 type CostModel struct {
 	ReadCost  time.Duration
 	WriteCost time.Duration
 	SyncCost  time.Duration
 	Sleep     bool
+}
+
+// Wait really spends a simulated charge of d when the model sleeps and
+// returns at once otherwise.
+func (c CostModel) Wait(d time.Duration) {
+	if c.Sleep && d > 0 {
+		time.Sleep(d)
+	}
 }
 
 // DefaultCostModel approximates a late-1980s SCSI disk: dominated by
@@ -172,70 +192,44 @@ func (s *Stats) Register(reg *metrics.Registry, prefix string) {
 	reg.AddHistogram(prefix+"sync_seconds", &s.SyncLatency)
 }
 
-func (s *Stats) addRead(n int) {
-	s.mu.Lock()
-	s.Reads++
-	s.BytesRead += int64(n)
-	s.IOTime += s.cost.ReadCost
-	s.mu.Unlock()
-	if s.cost.Sleep && s.cost.ReadCost > 0 {
-		time.Sleep(s.cost.ReadCost)
-	}
-}
-
-func (s *Stats) addWrite(n int) {
-	s.mu.Lock()
-	s.Writes++
-	s.BytesWritten += int64(n)
-	s.IOTime += s.cost.WriteCost
-	s.mu.Unlock()
-	if s.cost.Sleep && s.cost.WriteCost > 0 {
-		time.Sleep(s.cost.WriteCost)
-	}
-}
-
 func (s *Stats) addSync() {
 	s.mu.Lock()
 	s.Syncs++
 	s.IOTime += s.cost.SyncCost
 	s.mu.Unlock()
-	if s.cost.Sleep && s.cost.SyncCost > 0 {
-		time.Sleep(s.cost.SyncCost)
-	}
+	s.cost.Wait(s.cost.SyncCost)
 }
 
-// addWriteVec accounts a vectored write of npages pages (n bytes total)
-// exactly as npages individual page writes: the stats model deliberately
+// addWriteVec accounts a write of npages pages (n bytes total) exactly
+// as npages individual page writes: the stats model deliberately
 // measures pages moved and charges the cost model per page, so
 // coalescing never changes a benchmark's simulated I/O time or write
 // count. The real savings — one syscall, one seek — show up in wall
 // clock and in the WriteLatency histogram, which records one observation
 // per device operation.
 func (s *Stats) addWriteVec(npages, n int) {
+	d := time.Duration(npages) * s.cost.WriteCost
 	s.mu.Lock()
 	s.Writes += int64(npages)
 	s.BytesWritten += int64(n)
-	s.IOTime += time.Duration(npages) * s.cost.WriteCost
+	s.IOTime += d
 	s.mu.Unlock()
-	if s.cost.Sleep && s.cost.WriteCost > 0 {
-		time.Sleep(time.Duration(npages) * s.cost.WriteCost)
-	}
+	s.cost.Wait(d)
 }
 
-// addReadVec accounts a vectored read exactly as npages individual page
-// reads, mirroring addWriteVec: the simulated model charges pages
-// moved, so read-ahead never changes a benchmark's simulated I/O time;
-// the real savings show up in wall clock and the ReadLatency histogram
-// (one observation per device operation).
+// addReadVec accounts a read exactly as npages individual page reads,
+// mirroring addWriteVec: the simulated model charges pages moved, so
+// read-ahead never changes a benchmark's simulated I/O time; the real
+// savings show up in wall clock and the ReadLatency histogram (one
+// observation per device operation).
 func (s *Stats) addReadVec(npages, n int) {
+	d := time.Duration(npages) * s.cost.ReadCost
 	s.mu.Lock()
 	s.Reads += int64(npages)
 	s.BytesRead += int64(n)
-	s.IOTime += time.Duration(npages) * s.cost.ReadCost
+	s.IOTime += d
 	s.mu.Unlock()
-	if s.cost.Sleep && s.cost.ReadCost > 0 {
-		time.Sleep(time.Duration(npages) * s.cost.ReadCost)
-	}
+	s.cost.Wait(d)
 }
 
 func (s *Stats) addError() {
@@ -365,7 +359,7 @@ func (fs *FileStore) ReadPage(pageno uint32, buf []byte) error {
 		return ErrNotAllocated
 	}
 	fs.mu.Unlock()
-	fs.stats.addRead(fs.pagesize)
+	fs.stats.addReadVec(1, fs.pagesize)
 	t0 := time.Now()
 	n, err := fs.f.ReadAt(buf, int64(pageno)*int64(fs.pagesize))
 	fs.stats.observeRead(pageno, fs.pagesize, time.Since(t0))
@@ -421,7 +415,7 @@ func (fs *FileStore) WritePage(pageno uint32, buf []byte) error {
 		return os.ErrClosed
 	}
 	fs.mu.Unlock()
-	fs.stats.addWrite(fs.pagesize)
+	fs.stats.addWriteVec(1, fs.pagesize)
 	t0 := time.Now()
 	_, err := fs.f.WriteAt(buf, int64(pageno)*int64(fs.pagesize))
 	fs.stats.observeWrite(pageno, fs.pagesize, time.Since(t0))
@@ -557,7 +551,7 @@ func (ms *MemStore) ReadPage(pageno uint32, buf []byte) error {
 	t0 := time.Now()
 	copy(buf, p)
 	ms.stats.observeRead(pageno, ms.pagesize, time.Since(t0))
-	ms.stats.addRead(ms.pagesize)
+	ms.stats.addReadVec(1, ms.pagesize)
 	return nil
 }
 
@@ -605,7 +599,7 @@ func (ms *MemStore) WritePage(pageno uint32, buf []byte) error {
 	}
 	ms.mu.Unlock()
 	ms.stats.observeWrite(pageno, ms.pagesize, time.Since(t0))
-	ms.stats.addWrite(ms.pagesize)
+	ms.stats.addWriteVec(1, ms.pagesize)
 	return nil
 }
 

@@ -31,6 +31,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -239,8 +240,9 @@ func (e Event) MarshalJSON() ([]byte, error) {
 
 // slot is one ring cell: a commit word plus seven payload words, exactly
 // one 64-byte cache line. A slot holding sequence s publishes commit
-// value s+1; while a writer owns it, commit carries the busy bit. All
-// words are atomics, so readers racing a wrapping writer read stale or
+// value s+1; while a writer owns it, commit holds s with the busy bit.
+// All words are atomics and only the claiming writer stores payload
+// words (see claim), so readers racing a wrapping writer read stale or
 // busy values — never torn bytes — and the commit check rejects them.
 type slot struct {
 	commit atomic.Uint64
@@ -249,8 +251,10 @@ type slot struct {
 
 const busyBit = uint64(1) << 63
 
-// Ring is the fixed-size, lock-free event buffer. The capacity is a
-// power of two; new events overwrite the oldest.
+// Ring is the fixed-size event buffer; emitters and readers take no
+// lock. The capacity is a power of two; new events overwrite the oldest.
+// An emitter waits only in the rare case that a writer one full lap
+// behind it is still filling their shared slot (see claim).
 type Ring struct {
 	slots []slot
 	mask  uint64
@@ -273,14 +277,45 @@ func (r *Ring) Cap() int { return len(r.slots) }
 // Next reports the sequence number the next emitted event will receive.
 func (r *Ring) Next() uint64 { return r.next.Load() }
 
-// emit claims the next sequence number and publishes one event.
+// emit claims the next sequence number and publishes one event. An
+// event whose slot already holds a newer one (see claim) is dropped; its
+// sequence number is still consumed.
 func (r *Ring) emit(typ Type, now int64, dur int64, a0, a1, a2, a3 uint64) uint64 {
 	s := r.next.Add(1) - 1
+	if sl := r.claim(s); sl != nil {
+		sl.fill(typ, now, dur, a0, a1, a2, a3)
+		sl.commit.Store(s + 1)
+	}
+	return s
+}
+
+// claim takes the slot of sequence s for writing, or returns nil when
+// the slot already holds a newer generation: this writer was lapped
+// before it got there, and its event is the older one. The slot is taken
+// only by CAS from a published, older generation, so a writer stores
+// payload words only while it alone holds the busy claim. A slot still
+// busy with a writer one lap behind is waited for, yielding the
+// processor. Taking a busy slot instead would let the lapped writer's
+// late payload stores land in an event already published — a tear that
+// readers cannot see, since the commit word reads the same before and
+// after their copy.
+func (r *Ring) claim(s uint64) *slot {
 	sl := &r.slots[s&r.mask]
-	// Claim: readers that loaded the previous generation's commit value
-	// re-check it after copying and reject the slot once this store (or
-	// any payload store ordered after it) lands between their loads.
-	sl.commit.Store(s | busyBit)
+	for {
+		c := sl.commit.Load()
+		switch {
+		case c&^busyBit > s: // a newer event owns the slot
+			return nil
+		case c&busyBit != 0: // an older writer is mid-fill
+			runtime.Gosched()
+		case sl.commit.CompareAndSwap(c, s|busyBit): // published s' < s (commit s'+1 <= s)
+			return sl
+		}
+	}
+}
+
+// fill stores an event's payload words into a claimed slot.
+func (sl *slot) fill(typ Type, now int64, dur int64, a0, a1, a2, a3 uint64) {
 	sl.w[0].Store(uint64(now))
 	sl.w[1].Store(uint64(typ))
 	sl.w[2].Store(uint64(dur))
@@ -288,8 +323,6 @@ func (r *Ring) emit(typ Type, now int64, dur int64, a0, a1, a2, a3 uint64) uint6
 	sl.w[4].Store(a1)
 	sl.w[5].Store(a2)
 	sl.w[6].Store(a3)
-	sl.commit.Store(s + 1)
-	return s
 }
 
 // read copies the event with sequence s if it is still intact.

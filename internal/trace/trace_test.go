@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -235,5 +236,74 @@ func TestEmitAllocFree(t *testing.T) {
 		tr.Emit(EvOvflAlloc, 1, 2, 3, 4)
 	}); n != 0 {
 		t.Fatalf("Emit allocates %.1f times per op, want 0", n)
+	}
+}
+
+// TestRingLappedWriterCannotTear replays the interleaving behind the
+// torn events TestRingConcurrentNoTears can catch under -race: writer A
+// claims the slot of sequence s and stalls mid-write while writer B laps
+// it twice, then A stores its payload and publishes. No event may ever
+// read back carrying another writer's payload, and once both are done
+// the ring holds B's newest events.
+func TestRingLappedWriterCannotTear(t *testing.T) {
+	r := NewRing(64)
+	n := uint64(r.Cap())
+	s := r.next.Add(1) - 1
+	sl := r.claim(s) // A holds the claim and stalls
+	if sl == nil {
+		t.Fatal("claim of a fresh slot failed")
+	}
+	emit := func(from, to uint64) { // sequence s+i carries args i
+		for i := from; i <= to; i++ {
+			r.emit(EvOvflAlloc, int64(i), 0, i, i, i, i)
+		}
+	}
+	emit(1, n-1)
+	done := make(chan struct{})
+	go func() { // B: sequences s+n .. s+2n, both on A's slot
+		defer close(done)
+		emit(n, 2*n)
+	}()
+	// Let B run until it has finished or waits on A's slot.
+	buf := make([]byte, 1<<20)
+	settled := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*Ring).claim")
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); !settled(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("writer B neither finished nor waited on A's slot")
+		}
+	}
+	intact := func(when string) {
+		t.Helper()
+		for seq := s; seq <= s+2*n; seq++ {
+			e, ok := r.read(seq)
+			if !ok {
+				continue
+			}
+			want := [4]uint64{seq - s, seq - s, seq - s, seq - s}
+			if seq == s {
+				want = [4]uint64{7, 7, 7, 7}
+			}
+			if e.Args != want {
+				t.Fatalf("%s: event %d reads back args %v, want %v", when, seq, e.Args, want)
+			}
+		}
+	}
+	intact("while A is claimed")
+	sl.fill(EvOvflAlloc, 1, 0, 7, 7, 7, 7) // A's late payload stores
+	intact("after A's payload stores")
+	sl.commit.Store(s + 1) // A publishes, as emit does
+	<-done
+	intact("after both writers finished")
+	for seq := s + n + 1; seq <= s+2*n; seq++ {
+		if _, ok := r.read(seq); !ok {
+			t.Fatalf("newest event %d missing from the ring", seq)
+		}
 	}
 }

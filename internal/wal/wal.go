@@ -27,6 +27,12 @@
 // stops at the first short, CRC-damaged, non-monotonic or malformed
 // frame: everything before the last valid commit frame is replayable,
 // everything after is a torn tail and is discarded.
+//
+// The log shares the page store's machinery rather than copying it:
+// concurrent SyncTo calls run the stack's one group-sync protocol
+// (pagefile.SyncGroup), and simulated I/O cost comes from the one
+// pagefile.CostModel — WriteCost per append, SyncCost per fsync, and
+// both per Reset (a header write plus its fsync).
 package wal
 
 import (
@@ -41,6 +47,7 @@ import (
 
 	"unixhash/internal/metrics"
 	"unixhash/internal/oplog"
+	"unixhash/internal/pagefile"
 	"unixhash/internal/trace"
 )
 
@@ -80,25 +87,8 @@ var (
 	ErrBroken = errors.New("wal: log device failed; commits refused")
 )
 
-// CostModel charges simulated latencies to log I/O, mirroring
-// pagefile.CostModel so benchmarks can compare a seek-bound page flush
-// against a sequential log append on the same footing. Zero values charge
-// nothing.
-type CostModel struct {
-	// AppendCost per Append call: a sequential write at the tail, no
-	// seek, so typically one to two orders of magnitude below a random
-	// page write.
-	AppendCost time.Duration
-	// SyncCost per device fsync: settles a short sequential tail, so
-	// cheaper than fsyncing scattered dirty pages.
-	SyncCost time.Duration
-	// Sleep actually sleeps for the simulated durations when true;
-	// otherwise they are only accounted in Stats.IOTime.
-	Sleep bool
-}
-
-// Stats counts log activity. IOTime accumulates the simulated CostModel
-// charges, not wall-clock time.
+// Stats counts log activity. IOTime accumulates the simulated
+// pagefile.CostModel charges, not wall-clock time.
 type Stats struct {
 	Appends       int64
 	AppendedBytes int64
@@ -147,12 +137,12 @@ type ScanResult struct {
 }
 
 // Log is an append-only redo log over a Device. All methods are safe for
-// concurrent use; Append serializes writers while SyncTo runs the same
-// leader/follower group-fsync protocol as the table's GroupCommit, so
-// concurrent committers share one device fsync.
+// concurrent use; Append serializes writers while SyncTo runs the
+// stack's one group-sync protocol (pagefile.SyncGroup, the same as the
+// table's Sync), so concurrent committers share one device fsync.
 type Log struct {
 	dev  Device
-	cost CostModel
+	cost pagefile.CostModel
 	tr   *trace.Tracer
 
 	mu            sync.Mutex // serializes Append/Reset and guards the fields below
@@ -165,19 +155,10 @@ type Log struct {
 
 	lastLSN atomic.Uint64 // commit LSN of the last append (or scan)
 
-	// sc implements the offset-based group fsync: a leader syncs the
-	// device and publishes the synced size; followers whose target
-	// offset is already covered return without touching the device. A
-	// follower that slept through a failed round reports the leader's
-	// error instead of dog-piling onto a failing device.
-	sc struct {
-		mu      sync.Mutex
-		cond    *sync.Cond
-		syncing bool
-		synced  int64
-		round   uint64
-		lastErr error
-	}
+	// syncs runs the group fsync over byte offsets: a leader syncs the
+	// device and publishes the size it snapshotted; followers whose
+	// offset is already covered return without touching the device.
+	syncs pagefile.SyncGroup
 
 	stMu sync.Mutex
 	st   Stats
@@ -186,9 +167,8 @@ type Log struct {
 // Open scans the device and returns a Log positioned to append after the
 // last committed transaction. Torn tails are not erased — the size is
 // simply rewound so the next append overwrites them. tr may be nil.
-func Open(dev Device, cost CostModel, tr *trace.Tracer) (*Log, ScanResult, error) {
+func Open(dev Device, cost pagefile.CostModel, tr *trace.Tracer) (*Log, ScanResult, error) {
 	l := &Log{dev: dev, cost: cost, tr: tr}
-	l.sc.cond = sync.NewCond(&l.sc.mu)
 	sr, err := l.scan()
 	if err != nil {
 		return nil, sr, err
@@ -197,7 +177,7 @@ func Open(dev Device, cost CostModel, tr *trace.Tracer) (*Log, ScanResult, error
 	l.checkpointLSN = sr.CheckpointLSN
 	l.epoch = sr.Epoch
 	l.lastLSN.Store(sr.LastLSN)
-	l.sc.synced = sr.ValidEnd // everything already on the device predates us
+	l.syncs.Reset(uint64(sr.ValidEnd)) // everything already on the device predates us
 	return l, sr, nil
 }
 
@@ -355,7 +335,7 @@ func (l *Log) Append(ops []Op) (commitLSN uint64, end int64, err error) {
 	}
 	l.size += int64(len(buf))
 	l.lastLSN.Store(commitLSN)
-	l.charge(l.cost.AppendCost, func(s *Stats) {
+	l.charge(l.cost.WriteCost, func(s *Stats) {
 		s.Appends++
 		s.AppendedBytes += int64(len(buf))
 	})
@@ -366,72 +346,51 @@ func (l *Log) Append(ops []Op) (commitLSN uint64, end int64, err error) {
 }
 
 // SyncTo makes every byte below end durable, sharing one device fsync
-// among concurrent committers: the first caller in becomes the leader and
-// fsyncs for everyone who arrived while it ran; followers covered by the
-// published synced offset return without an fsync of their own. A
-// follower that waited out a round whose leader failed gets the leader's
-// error — retrying as a fresh leader against a device that just refused
-// an fsync would only pile errors onto a poisoned store.
+// among concurrent committers through the log's pagefile.SyncGroup: the
+// first caller in leads and fsyncs for everyone who arrived while it
+// ran; followers covered by the published offset return without an
+// fsync of their own; a follower of a failed fsync gets the leader's
+// error.
 func (l *Log) SyncTo(end int64) error { return l.SyncToOp(nil, end) }
 
 // SyncToOp is SyncTo with op-ledger attribution: a caller whose offset
 // is covered by another committer's fsync (before or after parking on
-// the group-commit round) charges the follower-join phase; the caller
+// the group-commit fsync) charges the follower-join phase; the caller
 // that performs the device fsync charges the leader phase, including
 // any time it first spent parked. A nil ledger reads no clock.
 func (l *Log) SyncToOp(led *oplog.Ledger, end int64) error {
 	st := led.Now()
-	l.sc.mu.Lock()
-	for {
-		if l.sc.synced >= end {
-			l.sc.mu.Unlock()
-			l.stMu.Lock()
-			l.st.FsyncJoins++
-			l.stMu.Unlock()
-			led.Since(oplog.PhaseWALFsyncJoin, st)
-			return nil
-		}
-		if !l.sc.syncing {
-			break
-		}
-		round := l.sc.round
-		l.sc.cond.Wait()
-		if l.sc.round != round && l.sc.synced < end && l.sc.lastErr != nil {
-			err := l.sc.lastErr
-			l.sc.mu.Unlock()
-			led.Since(oplog.PhaseWALFsyncJoin, st)
-			return err
-		}
+	lead, err := l.syncs.Sync(uint64(end), l.fsync)
+	if lead {
+		led.Since(oplog.PhaseWALFsyncLead, st)
+		return err
 	}
-	l.sc.syncing = true
-	l.sc.mu.Unlock()
+	if err == nil {
+		l.stMu.Lock()
+		l.st.FsyncJoins++
+		l.stMu.Unlock()
+	}
+	led.Since(oplog.PhaseWALFsyncJoin, st)
+	return err
+}
 
-	// Snapshot the tail under mu: everything appended so far rides this
-	// fsync, including commits that landed after our own.
+// fsync is the log's group-sync flush: it snapshots the tail under mu —
+// everything appended so far rides this fsync, including commits that
+// landed after the leader's own — syncs the device and returns the
+// snapshot as the covered offset.
+func (l *Log) fsync() (uint64, error) {
 	l.mu.Lock()
 	covered := l.size
 	l.mu.Unlock()
-	err := l.dev.Sync()
-	if err != nil {
+	if err := l.dev.Sync(); err != nil {
 		l.countError()
-	} else {
-		l.charge(l.cost.SyncCost, func(s *Stats) { s.Fsyncs++ })
-		if l.tr != nil {
-			l.tr.Emit(trace.EvWalFsync, l.lastLSN.Load(), uint64(covered), 0, 0)
-		}
+		return 0, err
 	}
-
-	l.sc.mu.Lock()
-	l.sc.syncing = false
-	l.sc.round++
-	l.sc.lastErr = err
-	if err == nil && covered > l.sc.synced {
-		l.sc.synced = covered
+	l.charge(l.cost.SyncCost, func(s *Stats) { s.Fsyncs++ })
+	if l.tr != nil {
+		l.tr.Emit(trace.EvWalFsync, l.lastLSN.Load(), uint64(covered), 0, 0)
 	}
-	l.sc.cond.Broadcast()
-	l.sc.mu.Unlock()
-	led.Since(oplog.PhaseWALFsyncLead, st)
-	return err
+	return uint64(covered), nil
 }
 
 // Sync makes every appended byte durable.
@@ -481,10 +440,8 @@ func (l *Log) Reset(checkpointLSN, epoch uint64) error {
 		l.nextLSN = checkpointLSN + 1
 	}
 	l.lastLSN.Store(0)
-	l.sc.mu.Lock()
-	l.sc.synced = HeaderSize
-	l.sc.mu.Unlock()
-	l.charge(l.cost.AppendCost+l.cost.SyncCost, func(s *Stats) { s.Resets++ })
+	l.syncs.Reset(HeaderSize)
+	l.charge(l.cost.WriteCost+l.cost.SyncCost, func(s *Stats) { s.Resets++ })
 	return nil
 }
 
@@ -543,9 +500,7 @@ func (l *Log) RegisterMetrics(reg *metrics.Registry) {
 func (l *Log) Close() error { return l.dev.Close() }
 
 func (l *Log) charge(d time.Duration, f func(*Stats)) {
-	if l.cost.Sleep && d > 0 {
-		time.Sleep(d)
-	}
+	l.cost.Wait(d)
 	l.stMu.Lock()
 	f(&l.st)
 	l.st.IOTime += d

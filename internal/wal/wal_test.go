@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"unixhash/internal/pagefile"
 )
 
 // openEmpty opens a fresh MemDevice and stamps a header, the way the
@@ -17,7 +19,7 @@ import (
 func openEmpty(t *testing.T) (*Log, *MemDevice) {
 	t.Helper()
 	dev := NewMemDevice()
-	l, sr, err := Open(dev, CostModel{}, nil)
+	l, sr, err := Open(dev, pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -58,7 +60,7 @@ func TestLogRoundtrip(t *testing.T) {
 		t.Fatalf("LastLSN %d, want %d", got, lastLSN)
 	}
 
-	re, sr, err := Open(NewMemDeviceFrom(dev.Bytes()), CostModel{}, nil)
+	re, sr, err := Open(NewMemDeviceFrom(dev.Bytes()), pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -113,7 +115,7 @@ func TestTornTail(t *testing.T) {
 	}
 	full := dev.Bytes()
 	for cut := 0; cut <= len(full); cut++ {
-		_, sr, err := Open(NewMemDeviceFrom(full[:cut]), CostModel{}, nil)
+		_, sr, err := Open(NewMemDeviceFrom(full[:cut]), pagefile.CostModel{}, nil)
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
@@ -153,7 +155,7 @@ func TestCorruptFrame(t *testing.T) {
 	full := dev.Bytes()
 	// A byte inside the second transaction's frames.
 	full[ends[0]+10] ^= 0xff
-	_, sr, err := Open(NewMemDeviceFrom(full), CostModel{}, nil)
+	_, sr, err := Open(NewMemDeviceFrom(full), pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -176,7 +178,7 @@ func TestCommitCountMismatch(t *testing.T) {
 	payload := full[commitOff+frameHdrSize:]
 	le.PutUint32(payload[recFixedSize:], 7) // claim 7 ops
 	le.PutUint32(full[commitOff+4:], crc32.ChecksumIEEE(payload))
-	_, sr, err := Open(NewMemDeviceFrom(full), CostModel{}, nil)
+	_, sr, err := Open(NewMemDeviceFrom(full), pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -202,7 +204,7 @@ func TestStaleRecords(t *testing.T) {
 	le.PutUint64(hb[16:], 1)
 	le.PutUint32(hb[HeaderSize-4:], crc32.ChecksumIEEE(hb[:HeaderSize-4]))
 	copy(full, hb)
-	re, sr, err := Open(NewMemDeviceFrom(full), CostModel{}, nil)
+	re, sr, err := Open(NewMemDeviceFrom(full), pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -229,7 +231,7 @@ func TestHeaderDamage(t *testing.T) {
 	// CRC-damaged header: treated as empty (power cut during Reset).
 	bad := append([]byte(nil), full...)
 	bad[8] ^= 1
-	_, sr, err := Open(NewMemDeviceFrom(bad), CostModel{}, nil)
+	_, sr, err := Open(NewMemDeviceFrom(bad), pagefile.CostModel{}, nil)
 	if err != nil || sr.HeaderOK || len(sr.Txns) != 0 || !sr.Torn {
 		t.Fatalf("damaged header: sr=%+v err=%v", sr, err)
 	}
@@ -238,7 +240,7 @@ func TestHeaderDamage(t *testing.T) {
 	bad = append([]byte(nil), full...)
 	le.PutUint32(bad[4:], 99)
 	le.PutUint32(bad[HeaderSize-4:], crc32.ChecksumIEEE(bad[:HeaderSize-4]))
-	_, _, err = Open(NewMemDeviceFrom(bad), CostModel{}, nil)
+	_, _, err = Open(NewMemDeviceFrom(bad), pagefile.CostModel{}, nil)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("wrong version: err=%v, want ErrCorrupt", err)
 	}
@@ -263,7 +265,7 @@ func TestReset(t *testing.T) {
 	if l.Size() != HeaderSize || l.LastLSN() != 0 {
 		t.Fatalf("after reset: size=%d lastLSN=%d", l.Size(), l.LastLSN())
 	}
-	_, sr, err := Open(NewMemDeviceFrom(dev.Bytes()), CostModel{}, nil)
+	_, sr, err := Open(NewMemDeviceFrom(dev.Bytes()), pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -322,7 +324,7 @@ func TestSyncToFollowerError(t *testing.T) {
 		entered:   make(chan struct{}),
 		release:   make(chan struct{}),
 	}
-	l, _, err := Open(dev, CostModel{}, nil)
+	l, _, err := Open(dev, pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -383,7 +385,7 @@ func (d *failWriteDev) Truncate(size int64) error {
 
 func TestAppendFailureRepairsTail(t *testing.T) {
 	dev := &failWriteDev{MemDevice: NewMemDevice(), allow: 3}
-	l, _, err := Open(dev, CostModel{}, nil)
+	l, _, err := Open(dev, pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -408,7 +410,7 @@ func TestAppendFailureRepairsTail(t *testing.T) {
 	if _, _, err := l.Append(txnOps(3)); err != nil {
 		t.Fatalf("append after repaired failure: %v", err)
 	}
-	_, sr, err := Open(NewMemDeviceFrom(dev.Bytes()), CostModel{}, nil)
+	_, sr, err := Open(NewMemDeviceFrom(dev.Bytes()), pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -421,7 +423,7 @@ func TestAppendFailureRepairsTail(t *testing.T) {
 
 func TestAppendFailurePoisonsWhenUnrepairable(t *testing.T) {
 	dev := &failWriteDev{MemDevice: NewMemDevice(), allow: 2}
-	l, _, err := Open(dev, CostModel{}, nil)
+	l, _, err := Open(dev, pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -446,7 +448,7 @@ func TestFileDevice(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open device: %v", err)
 	}
-	l, _, err := Open(dev, CostModel{}, nil)
+	l, _, err := Open(dev, pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("open log: %v", err)
 	}
@@ -471,7 +473,7 @@ func TestFileDevice(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen device: %v", err)
 	}
-	l2, sr, err := Open(dev2, CostModel{}, nil)
+	l2, sr, err := Open(dev2, pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("reopen log: %v", err)
 	}
@@ -481,9 +483,42 @@ func TestFileDevice(t *testing.T) {
 	}
 }
 
+// TestSyncToAfterResetFsyncs: a checkpoint Reset truncates the log back
+// to its header, so the covered offset must move back with it. A mark
+// left at the pre-reset size would let the next commits, which land
+// below it, be acknowledged without any device fsync.
+func TestSyncToAfterResetFsyncs(t *testing.T) {
+	l, _ := openEmpty(t)
+	for i := 0; i < 4; i++ {
+		_, end, err := l.Append(txnOps(i))
+		if err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		if err := l.SyncTo(end); err != nil {
+			t.Fatalf("sync %d: %v", i, err)
+		}
+	}
+	if err := l.Reset(l.LastLSN(), 1); err != nil {
+		t.Fatalf("reset: %v", err)
+	}
+	before := l.Stats()
+	_, end, err := l.Append(txnOps(9))
+	if err != nil {
+		t.Fatalf("append after reset: %v", err)
+	}
+	if err := l.SyncTo(end); err != nil {
+		t.Fatalf("sync after reset: %v", err)
+	}
+	after := l.Stats()
+	if after.Fsyncs != before.Fsyncs+1 || after.FsyncJoins != before.FsyncJoins {
+		t.Fatalf("commit after reset: fsyncs %d -> %d, joins %d -> %d; want one fsync and no join",
+			before.Fsyncs, after.Fsyncs, before.FsyncJoins, after.FsyncJoins)
+	}
+}
+
 func TestStatsAndCost(t *testing.T) {
 	dev := NewMemDevice()
-	l, _, err := Open(dev, CostModel{AppendCost: 2 * time.Millisecond, SyncCost: time.Millisecond}, nil)
+	l, _, err := Open(dev, pagefile.CostModel{WriteCost: 2 * time.Millisecond, SyncCost: time.Millisecond}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -517,7 +552,7 @@ func TestStatsAndCost(t *testing.T) {
 // crash matrix.
 func TestCrashDevice(t *testing.T) {
 	cd := NewCrashDevice()
-	l, _, err := Open(cd, CostModel{}, nil)
+	l, _, err := Open(cd, pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -540,7 +575,7 @@ func TestCrashDevice(t *testing.T) {
 			if torn > 0 && cd.NextWriteLen(n) == 0 {
 				continue
 			}
-			_, sr, err := Open(cd.Materialize(n, torn), CostModel{}, nil)
+			_, sr, err := Open(cd.Materialize(n, torn), pagefile.CostModel{}, nil)
 			if err != nil {
 				t.Fatalf("cut %d torn %d: %v", n, torn, err)
 			}
@@ -590,7 +625,7 @@ func TestConcurrentCommitters(t *testing.T) {
 	for err := range errc {
 		t.Fatalf("worker: %v", err)
 	}
-	_, sr, err := Open(NewMemDeviceFrom(dev.Bytes()), CostModel{}, nil)
+	_, sr, err := Open(NewMemDeviceFrom(dev.Bytes()), pagefile.CostModel{}, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
